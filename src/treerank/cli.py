@@ -237,6 +237,8 @@ def _cmd_certify(args) -> int:
     if args.extract:
         if args.vertex is None:
             raise ValueError("--extract needs --vertex")
+        if not 0 <= args.vertex < g.n:
+            raise ValueError(f"--vertex {args.vertex} out of range 0..{g.n - 1}")
         mp = shallow.m_prime(args.d, args.r, args.m)
         ra = ranking.compute_ranking(g, args.r, mp)
         emb = shallow.extract_shallow_tree(g, ra, args.vertex, args.d, args.m, args.r)

@@ -3,7 +3,9 @@
 Graphs are finite, simple, and undirected, with dense integer vertex ids
 0..n-1 and optional named unary predicates (vertex label sets).  All
 operations here are pure: they return new Graph values and never mutate
-their inputs, so values are safe to share across threads.
+their inputs, so values are safe to share across threads.  The one
+piece of hidden state, the lazily sorted neighbor rows, is a cache
+that every thread fills with the same values.
 
 Text format (line oriented, UTF-8, '#' starts a comment):
 
@@ -16,7 +18,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import AbstractSet, Iterable, Mapping, Optional
 
 
 class ParseError(ValueError):
@@ -52,6 +55,19 @@ class Graph:
 
     def edge_count(self) -> int:
         return sum(len(s) for s in self.adj) // 2
+
+    def sorted_neighbors(self, v: int) -> tuple[int, ...]:
+        """adj[v] in increasing order, sorted on first request and cached."""
+        rows = self._sorted_rows
+        row = rows[v]
+        if row is None:
+            row = rows[v] = tuple(sorted(self.adj[v]))
+        return row
+
+    @cached_property
+    def _sorted_rows(self) -> list[Optional[tuple[int, ...]]]:
+        # Not a dataclass field, so equality, repr and write_graph ignore it.
+        return [None] * self.n
 
 
 def make_graph(
@@ -266,8 +282,22 @@ def closed_ball(g: Graph, v: int, r: int, forbidden: frozenset[int] = frozenset(
         raise ValueError("radius must be nonnegative")
     if v in forbidden:
         raise ValueError("ball center is deleted")
-    seen = {v}
-    frontier = [v]
+    return frozenset(within_distance(g, [v], r, forbidden))
+
+
+def within_distance(
+    g: Graph,
+    centers: list[int],
+    r: int,
+    forbidden: AbstractSet[int] = frozenset(),
+) -> set[int]:
+    """Vertices at distance <= r from some center in g minus `forbidden`.
+
+    One multi-source BFS.  The centers are included as given, without
+    the range checks closed_ball makes on its single center.
+    """
+    seen = set(centers)
+    frontier = centers
     for _ in range(r):
         nxt = []
         for u in frontier:
@@ -278,7 +308,7 @@ def closed_ball(g: Graph, v: int, r: int, forbidden: frozenset[int] = frozenset(
         if not nxt:
             break
         frontier = nxt
-    return frozenset(seen)
+    return seen
 
 
 def flip(g: Graph, a: Iterable[int], b: Iterable[int]) -> Graph:

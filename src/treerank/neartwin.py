@@ -11,7 +11,6 @@ endpoints differ too much, it produces an order-t half-graph witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from .errors import ScaleExceeded
@@ -74,15 +73,15 @@ def _components(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(comps)
 
 
-@lru_cache(maxsize=None)
 def g_bound(c: int, k: int, t: int) -> int:
     """Surplus-neighborhood recurrence: g(c,k,1) = c and
     g(c,k,t) = g(c,k,t-1)*(t-1) + k + c."""
     if t < 1:
         raise ValueError("need t >= 1")
-    if t == 1:
-        return c
-    return g_bound(c, k, t - 1) * (t - 1) + k + c
+    value = c
+    for s in range(2, t + 1):
+        value = value * (s - 1) + k + c
+    return value
 
 
 def h_bound(k: int, t: int) -> int:

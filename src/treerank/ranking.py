@@ -1,11 +1,17 @@
 """Round-based vertex ranking with an FPT separator subroutine.
 
-The ranking works in batched rounds: round i examines every still
-unranked vertex v and asks whether deleting at most m vertices (other
-than v) removes every unranked vertex from v's radius-r ball.  If yes,
-v receives rank i. All round-i checks read the rank state frozen at the
-end of round i-1, so the output is independent of intra-round order.
+The ranking works in batched rounds: round i examines still unranked
+vertices v and asks whether deleting at most m vertices (other than v)
+removes every unranked vertex from v's radius-r ball.  If yes, v
+receives rank i. All round-i checks read the one unranked set frozen at
+the end of round i-1, so the output is independent of intra-round order.
 Vertices never separable keep rank infinity.
+
+Round 1 checks every vertex; round i+1 re-checks only the unranked
+vertices within distance r of a vertex ranked in round i.  A check's
+answer depends only on the unranked vertices inside ball_r(v), so every
+other vertex would fail again exactly as it did before (semi-naive
+evaluation of the fixed point).
 
 The per-vertex check is a branch-and-bound search: find a shortest path
 from v to the forbidden set; if none, the empty remainder suffices; else
@@ -18,10 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
 
 from .errors import ScaleExceeded
-from .graph import Graph
+from .graph import Graph, within_distance
 
 INF = math.inf
 
@@ -81,9 +87,25 @@ def separator_search(
         raise ValueError("separator target set must not contain the center")
     if r < 1 or m < 0:
         raise ValueError("need r >= 1 and m >= 0")
+    return _separator(g, v, fa, r, m, stats)
+
+
+def _separator(
+    g: Graph,
+    v: int,
+    targets: AbstractSet[int],
+    r: int,
+    m: int,
+    stats: Optional[SearchStats],
+) -> Optional[frozenset[int]]:
+    """separator_search without validation or copying.
+
+    targets may contain v: v is the BFS root, so it is never reached as
+    a target.  That lets every search of a ranking round share one set.
+    """
     deleted: set[int] = set()
     counter = [0]
-    found = _sep_search(g, v, fa, r, m, deleted, counter)
+    found = _sep_search(g, v, targets, r, m, deleted, counter)
     if stats is not None:
         stats.record(counter[0])
     return found
@@ -92,7 +114,7 @@ def separator_search(
 def _sep_search(
     g: Graph,
     v: int,
-    targets: frozenset[int],
+    targets: AbstractSet[int],
     r: int,
     budget: int,
     deleted: set[int],
@@ -116,7 +138,7 @@ def _sep_search(
 def _shortest_path_to_set(
     g: Graph,
     v: int,
-    targets: frozenset[int],
+    targets: AbstractSet[int],
     r: int,
     deleted: set[int],
 ) -> Optional[list[int]]:
@@ -130,7 +152,7 @@ def _shortest_path_to_set(
     for _ in range(r):
         nxt = []
         for u in frontier:
-            for w in sorted(g.adj[u]):
+            for w in g.sorted_neighbors(u):
                 if w in parent or w in deleted:
                     continue
                 parent[w] = u
@@ -209,12 +231,13 @@ def compute_ranking(
     ranks: list[Rank] = [INF] * g.n
     witnesses: dict[int, frozenset[int]] = {}
     unranked = set(range(g.n))
+    dirty: Iterable[int] = range(g.n)
     round_no = 0
     while unranked:
         round_no += 1
         assigned: list[tuple[int, frozenset[int]]] = []
-        for v in sorted(unranked):
-            s = separator_search(g, v, unranked - {v}, r, m, stats)
+        for v in dirty:
+            s = _separator(g, v, unranked, r, m, stats)
             if s is not None:
                 assigned.append((v, s))
         if not assigned:
@@ -223,6 +246,7 @@ def compute_ranking(
             ranks[v] = round_no
             witnesses[v] = s
             unranked.discard(v)
+        dirty = sorted(within_distance(g, [v for v, _ in assigned], r) & unranked)
     return RankAssignment(r, m, tuple(ranks), witnesses)
 
 
@@ -260,7 +284,7 @@ def backconnectivity(
         # len(used) counts edges walked so far; stop once r are used.
         if len(used) == r:
             return
-        for w in sorted(g.adj[last]):
+        for w in g.sorted_neighbors(last):
             if w == v or w in used:
                 continue
             if w in targets:

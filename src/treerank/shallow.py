@@ -200,7 +200,7 @@ def _simple_paths(g: Graph, start: int, max_edges: int, used: set[int]):
             yield tuple(path)
         if len(path) - 1 == max_edges:
             return
-        for w in sorted(g.adj[path[-1]]):
+        for w in g.sorted_neighbors(path[-1]):
             if w in used or w in path:
                 continue
             path.append(w)
@@ -252,7 +252,7 @@ def _extract(g: Graph, v: int, d: int, m: int, r: int, cache: dict[int, RankAssi
     if not ra.ranks[v] > d:
         raise RuntimeError(f"rank guarantee failed at vertex {v} (d={d})")
     if d == 1:
-        nbrs = sorted(g.adj[v])
+        nbrs = g.sorted_neighbors(v)
         if len(nbrs) < m:
             raise RuntimeError(f"vertex {v} has degree {len(nbrs)} < {m}")
         return (v, [((v, u), (u, [])) for u in nbrs[:m]])
@@ -299,7 +299,7 @@ def _bfs_to_rank(
         nxt = []
         hits = []
         for u in frontier:
-            for w in sorted(g.adj[u]):
+            for w in g.sorted_neighbors(u):
                 if w in parent or w in blocked:
                     continue
                 parent[w] = u

@@ -2,7 +2,8 @@
 
 The oracles here deliberately use different algorithms than the library
 (subset enumeration, relational-algebra formula evaluation) so agreement
-is meaningful.
+is meaningful.  The full-rescan ranking is the plain form of the rounds
+that compute_ranking evaluates semi-naively.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import random
 from itertools import combinations, product
 
 from treerank.graph import Graph, gen_random, make_graph
+from treerank.ranking import RankAssignment, separator_search
 
 INF = math.inf
 
@@ -114,6 +116,33 @@ def _separable(g, v, r, m, others, ranks, k) -> bool:
             if all(ranks[u] < k for u in ball if u != v):
                 return True
     return False
+
+
+def ranking_full_rescan(g: Graph, r: int, m: int, stats=None) -> RankAssignment:
+    """Reference ranking that re-checks every unranked vertex each round.
+
+    Every check goes through the public separator_search with its own
+    copy of the target set, so it shares neither the round's unranked
+    set nor the semi-naive restriction with compute_ranking.
+    """
+    ranks: list[float] = [INF] * g.n
+    witnesses: dict[int, frozenset[int]] = {}
+    unranked = set(range(g.n))
+    round_no = 0
+    while unranked:
+        round_no += 1
+        assigned = []
+        for v in sorted(unranked):
+            s = separator_search(g, v, unranked - {v}, r, m, stats)
+            if s is not None:
+                assigned.append((v, s))
+        if not assigned:
+            break
+        for v, s in assigned:
+            ranks[v] = round_no
+            witnesses[v] = s
+            unranked.discard(v)
+    return RankAssignment(r, m, tuple(ranks), witnesses)
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,19 @@ def test_certify_extract(capsys, tmp_path):
     assert "path 0-1 " in out
 
 
+@pytest.mark.parametrize("vertex", ["99", "-1"])
+def test_certify_extract_rejects_vertex_out_of_range(capsys, tmp_path, vertex):
+    src = tmp_path / "g.graph"
+    src.write_text(write_graph(path_graph(8)))
+    code = cli.main([
+        "--input", str(src), "certify",
+        "--d", "1", "--m", "1", "--r", "1", "--extract", "--vertex", vertex,
+    ])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_neartwin_components(capsys, tmp_path):
     src = tmp_path / "b.graph"
     src.write_text(write_graph(complete_bipartite(3, 3)))
@@ -110,6 +123,11 @@ def test_bounds(capsys):
                     "--no-ladder", "2,3", "--m-prime", "2,1,2")
     assert code == 0
     assert out.splitlines() == ["g 21", "h 16", "no-ladder 10", "m-prime 13"]
+
+
+def test_bounds_deep_g(capsys):
+    code, out = run(capsys, "bounds", "--g", "3,2,1200")
+    assert code == 0 and out.startswith("g ") and out.rstrip()[2:].isdigit()
 
 
 def test_bounds_requires_a_request(capsys):

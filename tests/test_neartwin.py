@@ -79,6 +79,17 @@ class TestBounds:
         assert g_bound(3, 2, 2) == 8
         assert g_bound(3, 2, 3) == 21
 
+    def test_g_bound_follows_recurrence(self):
+        def rec(c, k, t):
+            return c if t == 1 else rec(c, k, t - 1) * (t - 1) + k + c
+
+        for c, k in [(2, 0), (3, 2), (5, 7)]:
+            for t in range(1, 51):
+                assert g_bound(c, k, t) == rec(c, k, t)
+
+    def test_g_bound_deep_t(self):
+        assert g_bound(3, 2, 1200) > g_bound(3, 2, 1199) > 0
+
     def test_h_bound_values(self):
         assert h_bound(2, 2) == 16
         assert h_bound(5, 1) == 4

@@ -22,6 +22,7 @@ from helpers import (
     path_graph,
     permute_graph,
     rank_oracle,
+    ranking_full_rescan,
     seeded_random_graphs,
     star,
 )
@@ -90,6 +91,30 @@ class TestComputeRanking:
         for g in seeded_random_graphs(25, 8, 41):
             for r, m in [(1, 1), (2, 2), (3, 1)]:
                 assert compute_ranking(g, r, m).ranks == rank_oracle(g, r, m)
+
+    def test_matches_full_rescan(self):
+        corpus = seeded_random_graphs(30, 14, 83)
+        corpus += [gen_random(16, p, seed) for seed, p in enumerate((0.1, 0.2, 0.5, 0.8))]
+        corpus += [complete_graph(6), star(7), path_graph(9)]
+        infinite = 0
+        for g in corpus:
+            for r in (1, 2, 3):
+                for m in range(4):
+                    ra = compute_ranking(g, r, m)
+                    ref = ranking_full_rescan(g, r, m)
+                    assert ra.ranks == ref.ranks
+                    assert list(ra.witnesses.items()) == list(ref.witnesses.items())
+                    infinite += INF in ra.ranks
+        assert infinite > 0
+
+    def test_path_rechecks_only_near_new_ranks(self):
+        # P_n at r=1, m=1 ranks only the two ends each round, so n/2
+        # rounds run; a full rescan makes about n^2/4 searches.
+        n = 400
+        stats = SearchStats()
+        ra = compute_ranking(path_graph(n), 1, 1, stats)
+        assert ra.max_rank() == n // 2
+        assert stats.searches <= 2 * n
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
