@@ -280,22 +280,32 @@ def _cmd_halfgraph(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    lines = []
+    values = []
     if args.g:
         c, k, t = (int(x) for x in args.g.split(","))
-        lines.append(f"g {neartwin.g_bound(c, k, t)}")
+        values.append(("g", neartwin.g_bound(c, k, t)))
     if args.h:
         k, t = (int(x) for x in args.h.split(","))
-        lines.append(f"h {neartwin.h_bound(k, t)}")
+        values.append(("h", neartwin.h_bound(k, t)))
     if args.no_ladder:
         k2, m2 = (int(x) for x in args.no_ladder.split(","))
-        lines.append(f"no-ladder {labd.no_ladder_bound(k2, m2)}")
+        values.append(("no-ladder", labd.no_ladder_bound(k2, m2)))
     if args.m_prime:
         d, r, m = (int(x) for x in args.m_prime.split(","))
-        lines.append(f"m-prime {shallow.m_prime(d, r, m)}")
-    if not lines:
+        values.append(("m-prime", shallow.m_prime(d, r, m)))
+    if not values:
         raise ValueError("bounds needs one of --g, --h, --no-ladder, --m-prime")
-    _emit(args, "\n".join(lines) + "\n")
+    # The bounds are exact and may pass Python's int-to-str digit limit
+    # (3.11 and later 3.10 releases), so lift it for this conversion.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = "".join(f"{name} {value}\n" for name, value in values)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    _emit(args, text)
     return EXIT_OK
 
 

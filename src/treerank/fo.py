@@ -1,8 +1,12 @@
 """Minimal first-order logic over the graph signature plus unary predicates.
 
 Formulas are a small immutable AST evaluated by direct recursive
-enumeration (quantifiers range over all vertices).  No optimization is
-attempted; the formulas used in this package have quantifier depth <= 3.
+enumeration over all vertices, except that an existential over a
+conjunction ranges over its first guard conjunct (as in the guarded
+fragment): `(P name v)` limits v to the predicate's vertices, and
+`(E v u)` or `(E u v)` with u another bound variable to u's neighbors.
+Values outside the guard falsify the conjunction, so restricting the
+range never changes a truth value.
 
 Serialization is a prefix s-expression:
 
@@ -18,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .graph import Graph, make_graph
+from .graph import Graph, bfs_distances, make_graph
 
 
 @dataclass(frozen=True)
@@ -149,13 +153,27 @@ def _ev_or(g, f, env):
 
 def _ev_exists(g, f, env):
     saved = env.get(f.var)
-    for v in range(g.n):
+    for v in _guard_range(g, f, env):
         env[f.var] = v
         if _ev(g, f.f, env):
             _restore(env, f.var, saved)
             return True
     _restore(env, f.var, saved)
     return False
+
+
+def _guard_range(g, f, env):
+    """Values of f.var that can satisfy f.f: its first guard, else all."""
+    var = f.var
+    if isinstance(f.f, And):
+        for p in f.f.parts:
+            if isinstance(p, Pred) and p.x == var:
+                return g.predicates.get(p.name, frozenset())
+            if isinstance(p, Edge) and p.x != p.y and var in (p.x, p.y):
+                other = p.y if p.x == var else p.x
+                if other in env:
+                    return g.adj[env[other]]
+    return range(g.n)
 
 
 def _ev_forall(g, f, env):
@@ -251,7 +269,7 @@ def check_range(g: Graph, psi: Formula, b: int) -> bool:
     """
     if b < 0:
         raise ValueError("range bound must be nonnegative")
-    dist = _all_pairs_distances(g)
+    dist = [bfs_distances(g, v) for v in range(g.n)]
     env: dict[str, int] = {}
     for u in range(g.n):
         du = dist[u]
@@ -267,25 +285,6 @@ def check_range(g: Graph, psi: Formula, b: int) -> bool:
     return True
 
 
-def _all_pairs_distances(g: Graph) -> list[dict[int, int]]:
-    out = []
-    for v in range(g.n):
-        d = {v: 0}
-        frontier = [v]
-        step = 0
-        while frontier:
-            step += 1
-            nxt = []
-            for u in frontier:
-                for w in g.adj[u]:
-                    if w not in d:
-                        d[w] = step
-                        nxt.append(w)
-            frontier = nxt
-        out.append(d)
-    return out
-
-
 def recovery_interpretation() -> Interpretation:
     """The fixed interpretation undoing the sparsifier's marked flips.
 
@@ -299,8 +298,8 @@ def recovery_interpretation() -> Interpretation:
         "w",
         conj(Pred("R", "w"), Pred("F", "w"), Edge("x", "w"), Edge("y", "w")),
     )
-    # The marked-vertex guards sit before the inner quantifier so the
-    # brute-force evaluation prunes unmarked witnesses early.
+    # Pred("R", ...) comes first in each conjunction, so each quantifier
+    # ranges over the R-marked vertices only.
     crossed = Exists(
         "w1",
         conj(

@@ -311,6 +311,18 @@ def within_distance(
     return seen
 
 
+def bfs_distances(g: Graph, source: int) -> dict[int, int]:
+    """Distance from source to every vertex reachable from it."""
+    dist = {source: 0}
+    order = [source]
+    for u in order:  # order grows while it is read: a FIFO queue
+        for w in g.adj[u]:
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                order.append(w)
+    return dist
+
+
 def flip(g: Graph, a: Iterable[int], b: Iterable[int]) -> Graph:
     """Complement all adjacencies between A and B (u != v).
 

@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Mapping, Optional
 
 from .errors import ScaleExceeded
-from .graph import Graph, closed_ball, induced
+from .graph import Graph, bfs_distances, closed_ball, induced
 from .neartwin import symdiff
 
 
@@ -85,20 +85,31 @@ def table_fn(values: Mapping[int, Optional[int]]) -> ParamFunction:
 
 
 def parse_param_function(spec: str) -> ParamFunction:
-    """Parse the mini-language: const:5 | linear:a,b | exp2 | tower | table:{...}."""
-    if spec == "exp2":
-        return ParamFunction("exp2")
-    if spec == "tower":
-        return ParamFunction("tower")
-    if spec.startswith("const:"):
-        return const_fn(int(spec.split(":", 1)[1]))
-    if spec.startswith("linear:"):
-        a, b = spec.split(":", 1)[1].split(",")
-        return linear_fn(int(a), int(b))
-    if spec.startswith("table:"):
-        raw = json.loads(spec.split(":", 1)[1])
-        return table_fn({int(k): v for k, v in raw.items()})
-    raise ValueError(f"bad parameter function spec {spec!r}")
+    """Parse the mini-language: const:5 | linear:a,b | exp2 | tower | table:{...}.
+
+    Numbers are nonnegative integers; table values may also be null.
+    Raises ValueError naming the accepted forms on any malformed spec.
+    """
+    kind, _, arg = spec.partition(":")
+    try:
+        if spec in ("exp2", "tower"):
+            return ParamFunction(spec)
+        if kind in ("const", "linear"):
+            params = tuple(int(x) for x in arg.split(","))
+            if len(params) == (1 if kind == "const" else 2) and min(params) >= 0:
+                return ParamFunction(kind, params)
+        if kind == "table":
+            raw = json.loads(arg)
+            if isinstance(raw, dict) and all(
+                v is None or (type(v) is int and v >= 0) for v in raw.values()
+            ):
+                return table_fn({int(k): v for k, v in raw.items()})
+    except ValueError:
+        pass
+    raise ValueError(
+        f"bad parameter function spec {spec!r}: expected const:N, linear:A,B, "
+        'exp2, tower or table:{"R": N or null, ...} with integers N, A, B >= 0'
+    )
 
 
 @dataclass(frozen=True)
@@ -127,7 +138,7 @@ def labd_check(g: Graph, spec: ClassSpec, r_max: Optional[int] = None) -> LabdRe
     n = g.n
     limit = n if r_max is None else min(r_max, n)
     degs = [g.degree(v) for v in range(n)]
-    dist = [_bfs_distances(g, v) for v in range(n)]
+    dist = [bfs_distances(g, v) for v in range(n)]
     for r in range(limit + 1):
         f_r = spec.f.eval(r, n)
         d_r = spec.d.eval(r, n)
@@ -140,22 +151,6 @@ def labd_check(g: Graph, spec: ClassSpec, r_max: Optional[int] = None) -> LabdRe
             if len(offenders) > f_r:
                 return LabdResult(False, (r, v, tuple(sorted(offenders))))
     return LabdResult(True)
-
-
-def _bfs_distances(g: Graph, v: int) -> dict[int, int]:
-    d = {v: 0}
-    frontier = [v]
-    step = 0
-    while frontier:
-        step += 1
-        nxt = []
-        for u in frontier:
-            for w in g.adj[u]:
-                if w not in d:
-                    d[w] = step
-                    nxt.append(w)
-        frontier = nxt
-    return d
 
 
 @dataclass(frozen=True)

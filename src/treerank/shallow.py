@@ -37,13 +37,12 @@ def tree_children(d: int, m: int) -> list[list[int]]:
     return children
 
 
-@lru_cache(maxsize=None)
 def w_count(d: int, m: int, r: int) -> int:
     """Vertex count of the depth-(d-1) branching-m tree with every edge
     subdivided exactly r times."""
     if d < 1 or m < 1 or r < 0:
         raise ValueError("need d >= 1, m >= 1, r >= 0")
-    v = sum(m**i for i in range(d))
+    v = d if m == 1 else (m**d - 1) // (m - 1)
     return v + r * (v - 1)
 
 
@@ -65,20 +64,33 @@ def bound_triple(d: int, r: int, m: int) -> BoundTriple:
     return BoundTriple(w, big_m, m_prime(d, r, m))
 
 
+# Cap on m_prime's inflated branching, in bits.  Each level raises the
+# branching to about the power of its depth, so (12, 2, 2) would need
+# about 5 million bits at depth 6; (8, 1, 1) needs 21,537.
+M_PRIME_MAX_BITS = 2**20
+
+
 @lru_cache(maxsize=None)
 def m_prime(d: int, r: int, m: int) -> int:
     """Rank parameter guaranteeing extraction of the (d, m) tree pattern.
 
     Base: m_prime(1, r, m) = m - 1 (rank 2 then forces m neighbors).
     Step: with W = w_count(d, m, r) and M = m*W + r*m + m, recurse via
-    m'' = m_prime(d-1, r, M) and return max(m'', r*m).
+    m'' = m_prime(d-1, r, M) and return max(m'', r*m).  As M > r*m + 1,
+    the max is always m'', so a loop carries M down the levels.  Raises
+    ScaleExceeded when m**d, a lower bound on the level's M, passes
+    M_PRIME_MAX_BITS bits.
     """
     if d < 1 or r < 1 or m < 1:
         raise ValueError("need d >= 1, r >= 1, m >= 1")
-    if d == 1:
-        return m - 1
-    big_m = m * w_count(d, m, r) + r * m + m
-    return max(m_prime(d - 1, r, big_m), r * m)
+    for level in range(d, 1, -1):
+        if level * (m.bit_length() - 1) + 1 > M_PRIME_MAX_BITS:
+            raise ScaleExceeded(
+                "m_prime",
+                f"inflated branching would pass {M_PRIME_MAX_BITS} bits at depth {level}",
+            )
+        m = m * w_count(level, m, r) + r * m + m
+    return m - 1
 
 
 def validate_embedding(g: Graph, emb: Embedding, d: int, m: int, r: int) -> None:

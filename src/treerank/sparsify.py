@@ -253,6 +253,10 @@ def recover_graph(g: Graph) -> tuple[Graph, dict[int, int]]:
     distinct adjacent R-marked neighbors, drops the R/F marks, and
     restricts the remaining predicates.  Raises RecoverError if some kept
     vertex has several R-marked neighbors or F escapes R.
+
+    Only the rows of marked vertices change: a vertex marked `a` toggles
+    its adjacency to each part whose apex is adjacent to `a`, and to its
+    own part when `a` is F-marked.  Cost: O(n + m_in + m_out).
     """
     r_set = g.predicates.get("R", frozenset())
     f_set = g.predicates.get("F", frozenset())
@@ -266,20 +270,22 @@ def recover_graph(g: Graph) -> tuple[Graph, dict[int, int]]:
             raise RecoverError(f"vertex {v} has {len(marked)} marked neighbors")
         mark[v] = next(iter(marked)) if marked else None
     remap = {v: i for i, v in enumerate(keep)}
+    # With one mark per kept vertex, an apex's kept neighbors are the
+    # vertices it marks, and these parts are disjoint.
+    members = {a: g.adj[a] - r_set for a in r_set}
+    toggle = {
+        a: frozenset().union(
+            members[a] if a in f_set else (), *(members[b] for b in g.adj[a] & r_set)
+        )
+        for a in r_set
+    }
     edges = []
-    for idx, x in enumerate(keep):
+    for x in keep:
         mx = mark[x]
-        for y in keep[idx + 1 :]:
-            my = mark[y]
-            if mx is not None and my is not None:
-                if mx == my:
-                    complement = mx in f_set
-                else:
-                    complement = my in g.adj[mx]
-            else:
-                complement = False
-            if (y in g.adj[x]) != complement:
-                edges.append((remap[x], remap[y]))
+        # x may enter its own row through toggle; y > x drops it.
+        row = g.adj[x] if mx is None else (g.adj[x] - r_set) ^ toggle[mx]
+        rx = remap[x]
+        edges.extend((rx, remap[y]) for y in row if y > x)
     preds = {
         name: [remap[v] for v in vs if v in remap]
         for name, vs in g.predicates.items()

@@ -3,7 +3,8 @@
 The oracles here deliberately use different algorithms than the library
 (subset enumeration, relational-algebra formula evaluation) so agreement
 is meaningful.  The full-rescan ranking is the plain form of the rounds
-that compute_ranking evaluates semi-naively.
+that compute_ranking evaluates semi-naively, and the pairwise recovery
+is the plain form of the per-row toggles recover_graph applies.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from itertools import combinations, product
 
 from treerank.graph import Graph, gen_random, make_graph
 from treerank.ranking import RankAssignment, separator_search
+from treerank.sparsify import RecoverError
 
 INF = math.inf
 
@@ -146,6 +148,49 @@ def ranking_full_rescan(g: Graph, r: int, m: int, stats=None) -> RankAssignment:
 
 
 # ---------------------------------------------------------------------------
+# Reference recovery: decide every kept pair on its own.
+
+
+def recover_graph_pairwise(g: Graph) -> tuple[Graph, dict[int, int]]:
+    """recover_graph by one complement test per pair of kept vertices.
+
+    Same validation order and messages as the library; O(n^2) pairs.
+    """
+    r_set = g.predicates.get("R", frozenset())
+    f_set = g.predicates.get("F", frozenset())
+    if not f_set <= r_set:
+        raise RecoverError("F marks escape the R marks")
+    keep = [v for v in range(g.n) if v not in r_set]
+    mark = {}
+    for v in keep:
+        marked = g.adj[v] & r_set
+        if len(marked) > 1:
+            raise RecoverError(f"vertex {v} has {len(marked)} marked neighbors")
+        mark[v] = next(iter(marked)) if marked else None
+    remap = {v: i for i, v in enumerate(keep)}
+    edges = []
+    for idx, x in enumerate(keep):
+        mx = mark[x]
+        for y in keep[idx + 1 :]:
+            my = mark[y]
+            if mx is not None and my is not None:
+                if mx == my:
+                    complement = mx in f_set
+                else:
+                    complement = my in g.adj[mx]
+            else:
+                complement = False
+            if (y in g.adj[x]) != complement:
+                edges.append((remap[x], remap[y]))
+    preds = {
+        name: [remap[v] for v in vs if v in remap]
+        for name, vs in g.predicates.items()
+        if name not in ("R", "F")
+    }
+    return make_graph(len(keep), edges, preds), remap
+
+
+# ---------------------------------------------------------------------------
 # Independent formula evaluation by relational algebra over assignment
 # tuples (satisfying-set semantics), for cross-checking the recursive
 # evaluator on tiny graphs.
@@ -154,12 +199,14 @@ from treerank import fo  # noqa: E402
 
 
 def eval_reference(g: Graph, f: fo.Formula, assignment: dict[str, int]) -> bool:
-    rel, vs = _sat(g, f)
+    rel, vs = satisfying_assignments(g, f)
     key = tuple(assignment[v] for v in vs)
     return key in rel
 
 
-def _sat(g: Graph, f: fo.Formula) -> tuple[set[tuple[int, ...]], tuple[str, ...]]:
+def satisfying_assignments(g: Graph, f: fo.Formula) -> tuple[set[tuple[int, ...]], tuple[str, ...]]:
+    """The assignments of f's free variables (in the returned order)
+    that satisfy f in g."""
     dom = range(g.n)
     if isinstance(f, fo.Edge):
         if f.x == f.y:
@@ -182,11 +229,11 @@ def _sat(g: Graph, f: fo.Formula) -> tuple[set[tuple[int, ...]], tuple[str, ...]
     if isinstance(f, fo.Const):
         return ({()} if f.value else set()), ()
     if isinstance(f, fo.Not):
-        rel, vs = _sat(g, f.f)
+        rel, vs = satisfying_assignments(g, f.f)
         full = set(product(dom, repeat=len(vs)))
         return full - rel, vs
     if isinstance(f, (fo.And, fo.Or)):
-        rels = [_sat(g, p) for p in f.parts]
+        rels = [satisfying_assignments(g, p) for p in f.parts]
         all_vs = tuple(sorted(set(v for _, vs in rels for v in vs)))
         expanded = [_expand(g, rel, vs, all_vs) for rel, vs in rels]
         out = expanded[0]
@@ -194,7 +241,7 @@ def _sat(g: Graph, f: fo.Formula) -> tuple[set[tuple[int, ...]], tuple[str, ...]
             out = out & e if isinstance(f, fo.And) else out | e
         return out, all_vs
     if isinstance(f, (fo.Exists, fo.Forall)):
-        rel, vs = _sat(g, f.f)
+        rel, vs = satisfying_assignments(g, f.f)
         if f.var not in vs:
             if isinstance(f, fo.Exists):
                 return (rel if g.n > 0 else set()), vs
@@ -249,3 +296,36 @@ def random_formula(rng: random.Random, depth: int, variables=("x", "y", "z")) ->
     if kind == 3:
         return fo.Exists(rng.choice(variables), random_formula(rng, depth - 1, variables))
     return fo.Forall(rng.choice(variables), random_formula(rng, depth - 1, variables))
+
+
+def guarded_formula(rng: random.Random, depth: int, variables=("x", "y", "z")) -> fo.Formula:
+    """An existential over a conjunction that leads with guard-shaped atoms.
+
+    Usable guards are a predicate on the quantified variable (including
+    "M", which no graph has) and an edge to another variable.  The
+    atoms that are not guards sit before them: a predicate or an edge on
+    other variables, an edge from the variable to itself, an equality.
+    The last conjunct is a nested formula, which may quantify again a
+    variable an outer quantifier binds.
+    """
+    var = rng.choice(variables)
+    other, third = rng.sample([v for v in variables if v != var], 2)
+    guards = [
+        lambda: fo.Pred(rng.choice(("R", "B", "M")), var),
+        lambda: fo.Edge(var, other),
+        lambda: fo.Edge(other, var),
+    ]
+    others = [
+        lambda: fo.Pred(rng.choice(("R", "B")), other),
+        lambda: fo.Edge(other, third),
+        lambda: fo.Edge(var, var),
+        lambda: fo.Eq(var, other),
+    ]
+    parts = [rng.choice(others)() for _ in range(rng.randint(0, 1))]
+    parts.append(rng.choice(guards if rng.random() < 0.8 else others)())
+    if depth > 0 and rng.random() < 0.6:
+        parts.append(guarded_formula(rng, depth - 1, variables))
+    else:
+        parts.append(random_formula(rng, max(depth - 1, 0), variables))
+    f = fo.Exists(var, fo.And(tuple(parts)))
+    return fo.Not(f) if rng.random() < 0.3 else f

@@ -13,6 +13,7 @@ import pytest
 from treerank import fo
 from treerank.graph import (
     closed_ball,
+    flip,
     gen_halfgraph,
     gen_random,
     gen_tree,
@@ -294,20 +295,38 @@ def test_criterion_8_universal_roundtrip():
     _report(8, f"{runs} build/recover runs are exact ({elapsed:.1f}s)")
 
 
+def _flipped_block_sparsifications():
+    """Sparse random bases with one complemented block pair and one
+    complemented block, so the outputs carry crossed and F marks."""
+    out = []
+    for n in (120, 160, 200):
+        g = gen_random(n, 2.0 / n, 9300 + n)
+        g = flip(flip(g, range(40), range(40, 80)), range(n - 40, n), range(n - 40, n))
+        out.extend(build_sparsifier(g, k, h) for k, h in [(4, 1), (6, 2)])
+    return out
+
+
 def test_criterion_9_fo_oracle_equivalence():
     if not _SPARSIFIED_CACHE:
         test_criterion_8_universal_roundtrip()
     t0 = time.time()
     interp = fo.recovery_interpretation()
     checked = 0
-    for sg in _SPARSIFIED_CACHE:
+    large = _flipped_block_sparsifications()
+    assert all(sg.graph.predicates.get("F") for sg in large)
+    for sg in _SPARSIFIED_CACHE + large:
         via_fo, remap = fo.apply_interpretation(sg.graph, interp)
         assert via_fo == recover(sg)
         assert sorted(remap) == list(range(sg.original_n))
         assert fo.check_range(sg.graph, interp.psi, 3)
         checked += 1
     elapsed = time.time() - t0
-    _report(9, f"{checked} sparsified graphs: interpretation matches recovery, range 3 ({elapsed:.1f}s)")
+    largest = max(sg.graph.n for sg in large)
+    _report(
+        9,
+        f"{checked} sparsified graphs (n <= {largest}): interpretation matches "
+        f"recovery, range 3 ({elapsed:.1f}s)",
+    )
 
 
 def test_criterion_10_sparsifier_quality():

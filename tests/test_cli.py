@@ -1,9 +1,12 @@
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from treerank import cli
 from treerank.graph import gen_tree, parse_graph, write_graph
+from treerank.neartwin import g_bound
 from treerank.ranking import compute_ranking
 from treerank.sparsify import build_sparsifier
 
@@ -130,6 +133,34 @@ def test_bounds_deep_g(capsys):
     assert code == 0 and out.startswith("g ") and out.rstrip()[2:].isdigit()
 
 
+def test_bounds_prints_values_past_the_str_digit_limit(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out = run(capsys, "bounds", "--g", "3,2,2000", "--h", "2,2000", "--m-prime", "8,1,1")
+    assert code == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines] == ["g", "h", "m-prime"]
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert int(lines[0].split()[1]) == g_bound(3, 2, 2000)
+        assert int(lines[2].split()[1]).bit_length() == 21537
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_bounds_m_prime_cap(capsys):
+    t0 = time.time()
+    code = cli.main(["bounds", "--m-prime", "12,2,2"])
+    elapsed = time.time() - t0
+    captured = capsys.readouterr()
+    assert code == 3 and elapsed < 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: m_prime: scale cap exceeded")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_bounds_requires_a_request(capsys):
     code, _ = run(capsys, "bounds")
     assert code == 2
@@ -142,6 +173,19 @@ def test_labd_check_verdicts(capsys, tmp_path):
     assert code == 0 and out.strip() == "ok"
     code, out = run(capsys, "--input", str(src), "labd-check", "--f", "const:0", "--d", "const:2")
     assert code == 1 and out.startswith("cert r 0 v 0")
+
+
+@pytest.mark.parametrize("flag", ["--f", "--d"])
+@pytest.mark.parametrize("spec", ['table:{"0":"x"}', "linear:1"])
+def test_labd_check_rejects_malformed_specs(capsys, tmp_path, flag, spec):
+    src = tmp_path / "star.graph"
+    src.write_text(write_graph(gen_tree(1, 6)))
+    specs = {"--f": "const:1", "--d": "const:2", flag: spec}
+    code = cli.main(["--input", str(src), "labd-check", "--f", specs["--f"], "--d", specs["--d"]])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: bad parameter function spec {spec!r}: expected const:N")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_near_covered_certificate(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +12,10 @@ from treerank.sparsify import build_sparsifier, recover
 from helpers import (
     complete_bipartite,
     eval_reference,
+    guarded_formula,
     path_graph,
     random_formula,
+    satisfying_assignments,
     seeded_random_graphs,
 )
 
@@ -119,6 +122,55 @@ def test_reference_evaluator_agreement():
         assert got == want, (fo.format_formula(f), assignment, g.edges())
         checked += 1
     assert checked == 120
+
+
+def test_guarded_evaluator_agreement():
+    # Every assignment of the free variables, so a guard that ranges
+    # over the wrong vertices shows as a differing truth value.
+    rng = random.Random(909)
+    checked = 0
+    for i in range(300):
+        n = rng.randint(1, 6)
+        g = gen_random(n, rng.random(), 900 + i)
+        preds = {
+            "R": [v for v in range(n) if rng.random() < 0.4],
+            "B": [v for v in range(n) if rng.random() < 0.4],
+        }
+        g = make_graph(n, g.edges(), preds)
+        f = guarded_formula(rng, rng.randint(0, 3))
+        sat, order = satisfying_assignments(g, f)
+        for values in product(range(n), repeat=len(order)):
+            got = fo.evaluate(g, f, dict(zip(order, values)))
+            assert got == (values in sat), (fo.format_formula(f), values, g.edges())
+            checked += 1
+    assert checked > 2000
+
+
+def test_guard_cases():
+    g = make_graph(4, [(0, 1), (1, 2)], {"R": [2]})
+    some_r = fo.Exists("w", fo.conj(fo.Pred("R", "w"), fo.Edge("x", "w")))
+    assert fo.evaluate(g, some_r, {"x": 1})
+    assert not fo.evaluate(g, some_r, {"x": 0})
+    # a predicate the graph lacks is an empty guard
+    missing = fo.Exists("w", fo.conj(fo.Pred("M", "w"), fo.TRUE))
+    assert not fo.evaluate(g, missing, {})
+    # (E w w) is no guard: the next conjunct, or all vertices, is used
+    loop = fo.Exists("w", fo.conj(fo.Edge("w", "w"), fo.Edge("w", "x")))
+    assert not fo.evaluate(g, loop, {"x": 1})
+    no_loop = fo.Exists("w", fo.conj(fo.Not(fo.Edge("w", "w")), fo.Eq("w", "x")))
+    assert fo.evaluate(g, no_loop, {"x": 3})
+    # the inner x ranges over the neighbors of the y bound by the outer
+    # quantifier, and the outer x is restored afterwards
+    rebind = fo.Exists(
+        "y",
+        fo.conj(
+            fo.Edge("x", "y"),
+            fo.Exists("x", fo.conj(fo.Edge("x", "y"), fo.Pred("R", "x"))),
+            fo.Not(fo.Pred("R", "x")),
+        ),
+    )
+    assert fo.evaluate(g, rebind, {"x": 0})
+    assert not fo.evaluate(g, rebind, {"x": 3})
 
 
 def test_check_range_edge_formula():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from treerank.graph import (
     Graph,
     ParseError,
+    bfs_distances,
     closed_ball,
     delete,
     flip,
@@ -172,6 +173,15 @@ class TestBallsFlipsSubgraphs:
     def test_ball_with_deletion(self):
         g = path_graph(3)
         assert closed_ball(g, 0, 2, frozenset({1})) == frozenset({0})
+
+    def test_bfs_distances_agree_with_balls(self):
+        g = make_graph(7, [(0, 1), (1, 2), (2, 3), (0, 4), (5, 6)])
+        assert bfs_distances(g, 0) == {0: 0, 1: 1, 4: 1, 2: 2, 3: 3}
+        for gr in (g, gen_random(15, 0.2, 8)):
+            for v in range(gr.n):
+                dist = bfs_distances(gr, v)
+                for r in range(gr.n):
+                    assert closed_ball(gr, v, r) == {u for u, d in dist.items() if d <= r}
 
     def test_flip_triangle(self):
         g = complete_graph(3)

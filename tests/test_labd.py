@@ -59,6 +59,21 @@ class TestParamFunction:
         with pytest.raises(ValueError):
             parse_param_function("cubic:3")
 
+    def test_parse_table(self):
+        f = parse_param_function('table:{"0": 3, "2": null}')
+        assert f.table == {0: 3, 2: None}
+        assert f.spec() == 'table:{"0": 3, "2": null}'
+
+    @pytest.mark.parametrize("spec", [
+        "const:", "const:x", "linear:1", "linear:1,2,3", "linear:a,b",
+        "table:{", "table:[1]", 'table:{"a": 1}', 'table:{"0": "x"}',
+        'table:{"0": true}', 'table:{"0": 1.5}', "exp2:", "",
+        "const:-1", "linear:1,-2", 'table:{"0": -3}',
+    ])
+    def test_parse_rejects_malformed(self, spec):
+        with pytest.raises(ValueError, match="expected const:N"):
+            parse_param_function(spec)
+
     @settings(max_examples=40)
     @given(st.integers(0, 8), st.integers(0, 50), st.integers(0, 50))
     def test_monotone_consistency_across_budgets(self, r, n1, n2):

@@ -24,6 +24,32 @@ class TestBoundArithmetic:
         assert w_count(1, 4, 7) == 1
         assert w_count(2, 3, 0) == 4
 
+    def test_m_prime_loop_equals_recurrence(self):
+        def recurrence(d, r, m):
+            if d == 1:
+                return m - 1
+            big_m = m * w_count(d, m, r) + r * m + m
+            return max(recurrence(d - 1, r, big_m), r * m)
+
+        for d in range(1, 7):
+            for r in range(1, 4):
+                for m in range(1, 4):
+                    assert m_prime(d, r, m) == recurrence(d, r, m), (d, r, m)
+
+    def test_w_count_equals_vertex_sum(self):
+        for d in range(1, 8):
+            for m in range(1, 5):
+                for r in range(3):
+                    v = sum(m**i for i in range(d))
+                    assert w_count(d, m, r) == v + r * (v - 1)
+
+    def test_m_prime_cap(self):
+        with pytest.raises(ScaleExceeded, match="m_prime"):
+            m_prime(12, 2, 2)
+        with pytest.raises(ScaleExceeded, match="m_prime"):
+            m_prime(10**9, 1, 1)
+        assert m_prime(8, 1, 1).bit_length() == 21537
+
     def test_m_prime_base_case(self):
         assert m_prime(1, 3, 4) == 3
         assert m_prime(1, 1, 1) == 0

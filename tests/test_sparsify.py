@@ -30,6 +30,7 @@ from helpers import (
     cycle,
     disjoint_union,
     path_graph,
+    recover_graph_pairwise,
     seeded_random_graphs,
     star,
 )
@@ -228,6 +229,55 @@ class TestRoundTrip:
         out, remap = recover_graph(g)
         assert out.n == 2 and remap == {0: 0, 2: 1}
         assert out.edge_count() == 0
+
+    def test_rows_equal_pairwise_reference(self):
+        # Marked graphs with apexes at random ids; some vertices get a
+        # second mark and some F marks fall outside R on purpose, so both
+        # RecoverError messages are compared too.
+        rng = random.Random(303)
+        outcomes = {"ok": 0, "escape": 0, "marked neighbors": 0}
+        for _ in range(400):
+            n = rng.randint(0, 16)
+            r_set = [v for v in range(n) if rng.random() < 0.25]
+            kept = [v for v in range(n) if v not in r_set]
+            double = rng.random() < 0.15
+            edges = set()
+            for x in kept:
+                if r_set and rng.random() < 0.8:
+                    marks = rng.sample(r_set, min(len(r_set), 2 if double else 1))
+                    edges.update((x, a) for a in marks)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            for u, v in pairs:
+                if (u in r_set) != (v in r_set):
+                    continue  # apex-to-kept edges are the marks above
+                if rng.random() < 0.35:
+                    edges.add((u, v))
+            f_set = [a for a in r_set if rng.random() < 0.5]
+            if kept and rng.random() < 0.1:
+                f_set.append(rng.choice(kept))
+            g = make_graph(n, edges, {
+                "R": r_set,
+                "F": f_set,
+                "Q": [v for v in range(n) if v % 3 == 0],
+            })
+            try:
+                want = recover_graph_pairwise(g)
+            except RecoverError as e:
+                with pytest.raises(RecoverError) as got:
+                    recover_graph(g)
+                assert str(got.value) == str(e)
+                outcomes["escape" if "escape" in str(e) else "marked neighbors"] += 1
+                continue
+            assert recover_graph(g) == want
+            outcomes["ok"] += 1
+        assert min(outcomes.values()) >= 10, outcomes
+
+    def test_rows_equal_pairwise_on_sparsified(self):
+        for g in seeded_random_graphs(30, 40, 17) + [complete_bipartite(9, 9), complete_graph(13)]:
+            g = make_graph(g.n, g.edges(), {"Q": range(0, g.n, 2)})
+            for k, h in [(0, 1), (2, 1), (3, 2)]:
+                sg = build_sparsifier(g, k, h)
+                assert recover_graph(sg.graph) == recover_graph_pairwise(sg.graph)
 
     def test_validate_detects_tampering(self):
         sg = build_sparsifier(complete_bipartite(7, 7), 0, 1)
