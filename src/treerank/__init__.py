@@ -44,6 +44,7 @@ from .neartwin import (
     find_halfgraph,
     g_bound,
     h_bound,
+    neartwin_graph,
     neartwin_view,
     symdiff,
     validate_halfgraph,

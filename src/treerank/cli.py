@@ -56,7 +56,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_global_flags(common, suppress=True)
     sub = top.add_subparsers(dest="cmd", required=True, parser_class=lambda **kw: argparse.ArgumentParser(parents=[common], **kw))
 
-    p = sub.add_parser("gen", help="generate a graph")
+    def add(name: str, func, **kw) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, **kw)
+        p.set_defaults(func=func)
+        return p
+
+    p = add("gen", _cmd_gen, help="generate a graph")
     p.add_argument("family", choices=["tree", "halfgraph", "random"])
     p.add_argument("--depth", type=int)
     p.add_argument("--branch", type=int)
@@ -66,60 +71,58 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subdivide", type=int, default=None, metavar="R",
                    help="subdivide every edge exactly R times")
 
-    p = sub.add_parser("rank", help="vertex ranking")
+    p = add("rank", _cmd_rank, help="vertex ranking")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--witness", action="store_true")
 
-    p = sub.add_parser("certify", help="tree pattern as a shallow topological minor")
+    p = add("certify", _cmd_certify, help="tree pattern as a shallow topological minor")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--extract", action="store_true")
     p.add_argument("--vertex", type=int, default=None)
 
-    p = sub.add_parser("neartwin", help="near-twin graph / components")
+    p = add("neartwin", _cmd_neartwin, help="near-twin graph / components")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--components", action="store_true")
 
-    p = sub.add_parser("halfgraph", help="semi-induced half-graph search")
+    p = add("halfgraph", _cmd_halfgraph, help="semi-induced half-graph search")
     p.add_argument("--t", type=int, required=True)
 
-    p = sub.add_parser("bounds", help="bound arithmetic")
-    p.add_argument("--g", metavar="c,k,t")
-    p.add_argument("--h", metavar="k,t")
-    p.add_argument("--no-ladder", metavar="k2,m2")
-    p.add_argument("--m-prime", metavar="d,r,m")
+    p = add("bounds", _cmd_bounds, help="bound arithmetic")
+    for flag, form, _ in _BOUNDS:
+        p.add_argument(f"--{flag}", metavar=form)
 
-    p = sub.add_parser("labd-check", help="bounded-exception degree membership")
+    p = add("labd-check", _cmd_labd, help="bounded-exception degree membership")
     p.add_argument("--f", required=True, help="parameter function spec")
     p.add_argument("--d", required=True, help="parameter function spec")
     p.add_argument("--r-max", type=int, default=None)
 
-    p = sub.add_parser("near-covered", help="near-coverage check")
+    p = add("near-covered", _cmd_near_covered, help="near-coverage check")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--exact", action="store_true")
 
-    p = sub.add_parser("sparsify", help="build the marked sparse graph")
+    p = add("sparsify", _cmd_sparsify, help="build the marked sparse graph")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--out", help="graph output file (sidecar: <out>.prov)")
 
-    sub.add_parser("recover", help="undo marked flips")
+    add("recover", _cmd_recover, help="undo marked flips")
 
-    p = sub.add_parser("verify-roundtrip", help="build + recover + compare")
+    p = add("verify-roundtrip", _cmd_roundtrip, help="build + recover + compare")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--h", type=int, required=True)
 
-    p = sub.add_parser("sflip-search", help="search S-flips that sparsify into a class")
+    p = add("sflip-search", _cmd_sflip, help="search S-flips that sparsify into a class")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--f", required=True, help="verifier parameter function spec")
     p.add_argument("--d", required=True, help="verifier parameter function spec")
 
-    p = sub.add_parser("corpus", help="write a deterministic graph corpus")
+    p = add("corpus", _cmd_corpus, help="write a deterministic graph corpus")
     p.add_argument("--family", required=True,
                    choices=["trees", "random", "halfgraph", "mixed"])
     p.add_argument("--out", required=True, help="output directory")
@@ -148,44 +151,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
-        return _dispatch(args)
+        return args.func(args)
     except ScaleExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SCALE
     except (ParseError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-
-
-def _dispatch(args) -> int:
-    cmd = args.cmd
-    if cmd == "gen":
-        return _cmd_gen(args)
-    if cmd == "rank":
-        return _cmd_rank(args)
-    if cmd == "certify":
-        return _cmd_certify(args)
-    if cmd == "neartwin":
-        return _cmd_neartwin(args)
-    if cmd == "halfgraph":
-        return _cmd_halfgraph(args)
-    if cmd == "bounds":
-        return _cmd_bounds(args)
-    if cmd == "labd-check":
-        return _cmd_labd(args)
-    if cmd == "near-covered":
-        return _cmd_near_covered(args)
-    if cmd == "sparsify":
-        return _cmd_sparsify(args)
-    if cmd == "recover":
-        return _cmd_recover(args)
-    if cmd == "verify-roundtrip":
-        return _cmd_roundtrip(args)
-    if cmd == "sflip-search":
-        return _cmd_sflip(args)
-    if cmd == "corpus":
-        return _cmd_corpus(args)
-    raise AssertionError(cmd)
 
 
 def _cmd_gen(args) -> int:
@@ -279,20 +251,24 @@ def _cmd_halfgraph(args) -> int:
     return EXIT_OK
 
 
+# bounds flag, its comma-separated form, and the bound it evaluates.
+_BOUNDS = (
+    ("g", "c,k,t", neartwin.g_bound),
+    ("h", "k,t", neartwin.h_bound),
+    ("no-ladder", "k2,m2", labd.no_ladder_bound),
+    ("m-prime", "d,r,m", shallow.m_prime),
+)
+
+
 def _cmd_bounds(args) -> int:
     values = []
-    if args.g:
-        c, k, t = (int(x) for x in args.g.split(","))
-        values.append(("g", neartwin.g_bound(c, k, t)))
-    if args.h:
-        k, t = (int(x) for x in args.h.split(","))
-        values.append(("h", neartwin.h_bound(k, t)))
-    if args.no_ladder:
-        k2, m2 = (int(x) for x in args.no_ladder.split(","))
-        values.append(("no-ladder", labd.no_ladder_bound(k2, m2)))
-    if args.m_prime:
-        d, r, m = (int(x) for x in args.m_prime.split(","))
-        values.append(("m-prime", shallow.m_prime(d, r, m)))
+    for flag, form, bound in _BOUNDS:
+        spec = getattr(args, flag.replace("-", "_"))
+        if spec:
+            fields = spec.split(",")
+            if len(fields) != len(form.split(",")):
+                raise ValueError(f"--{flag} expects {form}")
+            values.append((flag, bound(*(int(x) for x in fields))))
     if not values:
         raise ValueError("bounds needs one of --g, --h, --no-ladder, --m-prime")
     # The bounds are exact and may pass Python's int-to-str digit limit

@@ -336,16 +336,16 @@ def flip(g: Graph, a: Iterable[int], b: Iterable[int]) -> Graph:
                 raise ValueError(f"vertex {v} out of range")
     if fa != fb and fa & fb:
         raise ValueError("flip sets must be disjoint or equal")
-    adj = [set(s) for s in g.adj]
+    adj = list(g.adj)  # rows outside A and B are shared, not copied
     if fa == fb:
         for u in fa:
-            adj[u] ^= fa - {u}
+            adj[u] = adj[u] ^ (fa - {u})
     else:
         for u in fa:
-            adj[u] ^= fb
+            adj[u] = adj[u] ^ fb
         for v in fb:
-            adj[v] ^= fa
-    return Graph(g.n, tuple(frozenset(s) for s in adj), dict(g.predicates))
+            adj[v] = adj[v] ^ fa
+    return Graph(g.n, tuple(adj), dict(g.predicates))
 
 
 def s_flip_classes(g: Graph, s: Iterable[int]) -> list[tuple[int, ...]]:

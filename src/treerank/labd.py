@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Mapping, Optional
 
 from .errors import ScaleExceeded
-from .graph import Graph, bfs_distances, closed_ball, induced
-from .neartwin import symdiff
+from .graph import Graph, closed_ball, induced, within_distance
+from .neartwin import neartwin_graph
 
 
 @dataclass(frozen=True)
@@ -134,20 +133,30 @@ def labd_check(g: Graph, spec: ClassSpec, r_max: Optional[int] = None) -> LabdRe
     skipped.  Passing r_max truncates the scan, which is a strictly
     weaker check (fewer radii inspected).  On failure, returns the first
     (r, v) with the offending high-degree set.
+
+    Balls are grown afresh for each (r, v) until they fill v's connected
+    component, which every vertex of the component then shares, so
+    memory stays linear in the size of g.
     """
     n = g.n
     limit = n if r_max is None else min(r_max, n)
     degs = [g.degree(v) for v in range(n)]
-    dist = [bfs_distances(g, v) for v in range(n)]
+    component: list[set[int]] = [set()] * n
+    for v in range(n):
+        if not component[v]:
+            members = within_distance(g, [v], n)
+            for u in members:
+                component[u] = members
+    filled = [False] * n
     for r in range(limit + 1):
         f_r = spec.f.eval(r, n)
         d_r = spec.d.eval(r, n)
         if f_r is None or d_r is None:
             continue
         for v in range(n):
-            offenders = [
-                u for u, du in dist[v].items() if du <= r and degs[u] > d_r
-            ]
+            ball = component[v] if filled[v] else within_distance(g, [v], r)
+            filled[v] = len(ball) == len(component[v])
+            offenders = [u for u in ball if degs[u] > d_r]
             if len(offenders) > f_r:
                 return LabdResult(False, (r, v, tuple(sorted(offenders))))
     return LabdResult(True)
@@ -178,7 +187,7 @@ def near_covered_check(
     """
     if k < 0 or m < 0:
         raise ValueError("need k >= 0 and m >= 0")
-    nt_adj = _nt_adjacency(g, k)
+    nt_adj = neartwin_graph(g, k).adj
     if not exact:
         chosen: list[int] = []
         for v in range(g.n):
@@ -191,16 +200,6 @@ def near_covered_check(
     if found is not None:
         return NearCoveredResult(False, True, tuple(sorted(found)))
     return NearCoveredResult(True, True)
-
-
-def _nt_adjacency(g: Graph, k: int) -> list[frozenset[int]]:
-    adj: list[set[int]] = [set() for _ in range(g.n)]
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if symdiff(g, u, v) <= k:
-                adj[u].add(v)
-                adj[v].add(u)
-    return [frozenset(s) for s in adj]
 
 
 def _independent_set_of_size(
@@ -233,18 +232,6 @@ def _independent_set_of_size(
     if grow(0):
         return list(chosen)
     return None
-
-
-def near_covered_bruteforce(g: Graph, k: int, m: int, cap_n: int = 12) -> bool:
-    """Oracle by full subset enumeration; desk scale only."""
-    if g.n > cap_n:
-        raise ScaleExceeded("near_covered_bruteforce", f"n={g.n}")
-    nt_adj = _nt_adjacency(g, k)
-    for size in range(m + 1, g.n + 1):
-        for combo in combinations(range(g.n), size):
-            if all(v not in nt_adj[u] for u, v in combinations(combo, 2)):
-                return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ endpoints differ too much, it produces an order-t half-graph witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Sequence, Union
 
 from .errors import ScaleExceeded
@@ -39,38 +40,82 @@ def neartwin_view(g: Graph, k: int) -> NearTwinView:
     Components are listed in order of their smallest member, members in
     id order.
     """
+    parts = component_partition(g, k).parts
+    return NearTwinView(k, neartwin_graph(g, k), parts)
+
+
+def neartwin_graph(g: Graph, k: int) -> Graph:
+    """NT_k(G) by an all-pairs scan; pairs whose degrees differ by more
+    than k are skipped unread.  Edgeless when k < 0."""
+    degs = [g.degree(v) for v in range(g.n)]
+    edges = [
+        (u, v)
+        for u in range(g.n)
+        for v in range(u + 1, g.n)
+        if abs(degs[u] - degs[v]) <= k and len(g.adj[u] ^ g.adj[v]) <= k
+    ]
+    return make_graph(g.n, edges)
+
+
+@dataclass(frozen=True)
+class PartPartition:
+    """Connected components of NT_k(G), each sorted, ordered by minimum."""
+
+    k: int
+    parts: tuple[tuple[int, ...], ...]
+
+    def part_of(self) -> dict[int, int]:
+        return {v: i for i, p in enumerate(self.parts) for v in p}
+
+
+def component_partition(g: Graph, k: int) -> PartPartition:
+    """NT_k components without materializing the near-twin graph.
+
+    A k-near-twin v of u misses at most k of u's neighbors, so it is
+    adjacent to one of any k+1 of them: u's candidates are the neighbors
+    of k+1 of its neighbors (of all of them when deg(u) <= k).  Pairs
+    with no common neighbor are united through the pool of low-degree
+    vertices.  A candidate pair is tested only while its endpoints lie in
+    different sets of the disjoint-set forest.
+    """
     if k < 0:
         raise ValueError("threshold must be nonnegative")
-    edges = []
+    parent = list(range(g.n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a: int, b: int) -> None:
+        parent[find(b)] = find(a)
+
     degs = [g.degree(v) for v in range(g.n)]
     for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if abs(degs[u] - degs[v]) > k:
-                continue
-            if len(g.adj[u] ^ g.adj[v]) <= k:
-                edges.append((u, v))
-    nt = make_graph(g.n, edges)
-    return NearTwinView(k, nt, _components(nt))
+        row, du = g.adj[u], degs[u]
+        for v in frozenset().union(*(g.adj[w] for w in islice(row, k + 1))):
+            if v > u and abs(du - degs[v]) <= k and find(u) != find(v):
+                if len(row ^ g.adj[v]) <= k:
+                    union(u, v)
 
+    # Pairs with no common neighbor differ in exactly deg(u) + deg(v)
+    # elements.  All vertices of degree <= k/2 are pairwise near-twins;
+    # a vertex of larger degree joins them iff some pooled vertex has
+    # degree <= k - deg(v).
+    core = [v for v in range(g.n) if 2 * degs[v] <= k]
+    for a, b in zip(core, core[1:]):
+        union(a, b)
+    if core:
+        core_min_by_deg = min(core, key=lambda v: degs[v])
+        for v in range(g.n):
+            if 2 * degs[v] > k and degs[v] + degs[core_min_by_deg] <= k:
+                union(v, core_min_by_deg)
 
-def _components(g: Graph) -> tuple[tuple[int, ...], ...]:
-    seen: set[int] = set()
-    comps = []
+    groups: dict[int, list[int]] = {}
     for v in range(g.n):
-        if v in seen:
-            continue
-        comp = [v]
-        seen.add(v)
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in g.adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        comps.append(tuple(sorted(comp)))
-    return tuple(comps)
+        groups.setdefault(find(v), []).append(v)
+    return PartPartition(k, tuple(sorted(tuple(vs) for vs in groups.values())))
 
 
 def g_bound(c: int, k: int, t: int) -> int:
@@ -314,27 +359,27 @@ def _check_chain(
 
 
 def nt_path(g: Graph, k: int, u: int, v: int) -> Optional[list[int]]:
-    """Shortest path from u to v in NT_k(g), by BFS over symdiff checks."""
+    """Shortest path from u to v in NT_k(g), by BFS over its rows.
+
+    Each vertex is reached first from the earliest frontier vertex,
+    scanning rows in increasing id order.
+    """
     if u == v:
         return [u]
+    nt = neartwin_graph(g, k)
     parent = {u: -1}
-    frontier = [u]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in range(g.n):
-                if b in parent or b == a:
-                    continue
-                if symdiff(g, a, b) <= k:
-                    parent[b] = a
-                    if b == v:
-                        path = [v]
-                        while path[-1] != u:
-                            path.append(parent[path[-1]])
-                        path.reverse()
-                        return path
-                    nxt.append(b)
-        frontier = nxt
+    order = [u]
+    for a in order:  # order grows while it is read: a FIFO queue
+        for b in nt.sorted_neighbors(a):
+            if b in parent:
+                continue
+            parent[b] = a
+            order.append(b)
+            if b == v:
+                path = [v]
+                while path[-1] != u:
+                    path.append(parent[path[-1]])
+                return path[::-1]
     return None
 
 

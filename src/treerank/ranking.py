@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
 
 from .errors import ScaleExceeded
@@ -356,25 +356,3 @@ def _strong_reach_count(g: Graph, v: int, before_mask: int, r: int) -> int:
                     count += 1
         frontier = nxt
     return count
-
-
-def scol_by_permutations(g: Graph, r: int, cap_n: int = 6) -> int:
-    """Reference strong r-coloring number by trying every vertex order.
-
-    Exists to cross-check scol_bruteforce's subset DP on tiny graphs.
-    """
-    if g.n > cap_n:
-        raise ScaleExceeded("scol_by_permutations", f"n={g.n}")
-    if g.n == 0:
-        return 0
-    best = g.n
-    for perm in permutations(range(g.n)):
-        mask = 0
-        worst = 0
-        for v in perm:
-            worst = max(worst, _strong_reach_count(g, v, mask, r))
-            if worst >= best:
-                break
-            mask |= 1 << v
-        best = min(best, worst)
-    return best

@@ -15,83 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import ScaleExceeded
-from .graph import Graph, make_graph, s_flip, s_flip_classes
+from .graph import Graph, flip, make_graph, s_flip, s_flip_classes
 from .labd import ClassSpec, labd_check
-from .neartwin import symdiff
-
-
-@dataclass(frozen=True)
-class PartPartition:
-    """Connected components of NT_k(G), each sorted, ordered by minimum."""
-
-    k: int
-    parts: tuple[tuple[int, ...], ...]
-
-    def part_of(self) -> dict[int, int]:
-        out = {}
-        for i, p in enumerate(self.parts):
-            for v in p:
-                out[v] = i
-        return out
-
-
-def component_partition(g: Graph, k: int) -> PartPartition:
-    """NT_k components without materializing the near-twin graph.
-
-    Near-twin pairs either share a neighbor (enumerated through common
-    neighbors) or have degree sum at most k (united through the pool of
-    low-degree vertices), so a disjoint-set pass over those candidates
-    suffices.  Near-linear on sparse graphs.
-    """
-    if k < 0:
-        raise ValueError("threshold must be nonnegative")
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    checked: set[tuple[int, int]] = set()
-    for w in range(g.n):
-        nbrs = sorted(g.adj[w])
-        for i, u in enumerate(nbrs):
-            for v in nbrs[i + 1 :]:
-                key = (u, v)
-                if key in checked:
-                    continue
-                checked.add(key)
-                if len(g.adj[u] ^ g.adj[v]) <= k:
-                    union(u, v)
-
-    # Pairs with no common neighbor differ in exactly deg(u) + deg(v)
-    # elements.  All vertices of degree <= k/2 are pairwise near-twins;
-    # a vertex of larger degree joins them iff some pooled vertex has
-    # degree <= k - deg(v).
-    degs = [g.degree(v) for v in range(g.n)]
-    core = [v for v in range(g.n) if 2 * degs[v] <= k]
-    for a, b in zip(core, core[1:]):
-        union(a, b)
-    if core:
-        core_min_by_deg = min(core, key=lambda v: degs[v])
-        for v in range(g.n):
-            if 2 * degs[v] > k and degs[v] + degs[core_min_by_deg] <= k:
-                union(v, core_min_by_deg)
-
-    groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(find(v), []).append(v)
-    parts = tuple(sorted((tuple(sorted(vs)) for vs in groups.values()), key=lambda p: p[0]))
-    return PartPartition(k, parts)
+from .neartwin import PartPartition, component_partition, symdiff
 
 
 @dataclass(frozen=True)
@@ -129,15 +58,6 @@ def classify_heavy(g: Graph, partition: PartPartition, h: int) -> HeavyClassific
     return HeavyClassification(h, heavy, frozenset(pairs))
 
 
-def light_parts(g: Graph, partition: PartPartition, h: int) -> frozenset[int]:
-    """Parts containing a vertex of degree at most h (analysis aid only)."""
-    out = set()
-    for i, part in enumerate(partition.parts):
-        if any(g.degree(v) <= h for v in part):
-            out.add(i)
-    return frozenset(out)
-
-
 @dataclass(frozen=True)
 class SparsifiedGraph:
     """Construction output: the marked graph plus build provenance."""
@@ -168,47 +88,29 @@ def build_sparsifier(g: Graph, k: int, h: int) -> SparsifiedGraph:
     hc = classify_heavy(g, partition, h)
     flips = tuple(sorted(hc.mutually_heavy))
 
-    adj: list[set[int]] = [set(s) for s in g.adj]
+    flipped = g
     for i, j in flips:
-        a = partition.parts[i]
-        if i == j:
-            fa = frozenset(a)
-            for u in a:
-                adj[u] ^= fa - {u}
-        else:
-            b = partition.parts[j]
-            fa, fb = frozenset(a), frozenset(b)
-            for u in a:
-                adj[u] ^= fb
-            for v in b:
-                adj[v] ^= fa
+        flipped = flip(flipped, partition.parts[i], partition.parts[j])
+    adj: list[set[int]] = [set(s) for s in flipped.adj]
 
-    apex: dict[int, int] = {}
-    next_id = g.n
-    for i in sorted(hc.heavy):
-        apex[i] = next_id
-        next_id += 1
-    for s in range(g.n, next_id):
-        adj.append(set())
+    apex = {i: g.n + idx for idx, i in enumerate(sorted(hc.heavy))}
+    adj.extend(set() for _ in apex)
     for i, a_vertex in apex.items():
         for u in partition.parts[i]:
             adj[u].add(a_vertex)
             adj[a_vertex].add(u)
-    self_flipped = set()
     for i, j in flips:
-        if i == j:
-            self_flipped.add(i)
-        else:
+        if i != j:
             adj[apex[i]].add(apex[j])
             adj[apex[j]].add(apex[i])
 
-    preds = dict(g.predicates)
-    preds["R"] = frozenset(apex.values())
-    f_marks = frozenset(apex[i] for i in self_flipped)
-    if f_marks:
-        preds["F"] = f_marks
+    preds = {
+        **g.predicates,
+        "R": frozenset(apex.values()),
+        "F": frozenset(apex[i] for i, j in flips if i == j),
+    }
     out = Graph(
-        next_id,
+        len(adj),
         tuple(frozenset(s) for s in adj),
         {name: vs for name, vs in preds.items() if vs},
     )
@@ -364,6 +266,17 @@ def pair_density(g: Graph, a: Iterable[int], b: Iterable[int], k: int) -> PairDe
     return PairDensityReport(verdict, pre_ok, tuple(notes))
 
 
+def colex_subsets(n: int, s: int) -> Iterator[tuple[int, ...]]:
+    """Subsets of range(n) with at most s elements, lazily, in ascending
+    order of their bitmasks: each top element follows all smaller ones,
+    and its subsets are those of range(top) with one element fewer."""
+    yield ()
+    if s > 0:
+        for top in range(n):
+            for rest in colex_subsets(top, s - 1):
+                yield (*rest, top)
+
+
 @dataclass(frozen=True)
 class SflipResult:
     s: tuple[int, ...]
@@ -392,12 +305,8 @@ def sflip_driver(
     """
     if s < 0:
         raise ValueError("subset size bound must be nonnegative")
-    subsets = sorted(
-        (c for size in range(s + 1) for c in combinations(range(g.n), size)),
-        key=lambda c: sum(1 << v for v in c),
-    )
     tried = 0
-    for subset in subsets:
+    for subset in colex_subsets(g.n, s):
         classes = s_flip_classes(g, subset)
         pair_list = [
             (i, j) for i in range(len(classes)) for j in range(i, len(classes))

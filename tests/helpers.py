@@ -4,17 +4,21 @@ The oracles here deliberately use different algorithms than the library
 (subset enumeration, relational-algebra formula evaluation) so agreement
 is meaningful.  The full-rescan ranking is the plain form of the rounds
 that compute_ranking evaluates semi-naively, and the pairwise recovery
-is the plain form of the per-row toggles recover_graph applies.
+is the plain form of the per-row toggles recover_graph applies.  The
+near-twin oracles test every vertex pair where the library tests only
+candidates that share one of k+1 neighbors.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
-from treerank.graph import Graph, gen_random, make_graph
-from treerank.ranking import RankAssignment, separator_search
+from treerank.errors import ScaleExceeded
+from treerank.graph import Graph, bfs_distances, gen_random, make_graph
+from treerank.neartwin import PartPartition, symdiff
+from treerank.ranking import RankAssignment, _strong_reach_count, separator_search
 from treerank.sparsify import RecoverError
 
 INF = math.inf
@@ -71,6 +75,123 @@ def seeded_random_graphs(count: int, max_n: int, seed: int, min_n: int = 1) -> l
         p = rng.random()
         out.append(gen_random(n, p, seed * 1000 + i))
     return out
+
+
+def seeded_dense_graphs(count: int, max_n: int, seed: int) -> list[Graph]:
+    """Graphs with edge probability at least 0.6 and n >= 8, so most
+    degrees pass k+1 for small k; every third is a complement of a
+    sparse graph, with near-twin blocks of high degree."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        n = rng.randint(8, max_n)
+        if i % 3 == 2:
+            sparse = gen_random(n, 2.0 / n, seed * 1000 + i)
+            edges = [(u, v) for u, v in combinations(range(n), 2) if v not in sparse.adj[u]]
+            out.append(make_graph(n, edges))
+        else:
+            out.append(gen_random(n, rng.uniform(0.6, 1.0), seed * 1000 + i))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Near-twin oracles: every vertex pair is tested.
+
+
+def nt_edges_allpairs(g: Graph, k: int) -> list[frozenset[int]]:
+    """NT_k adjacency rows by a symdiff test of every pair."""
+    adj: list[set[int]] = [set() for _ in range(g.n)]
+    for u, v in combinations(range(g.n), 2):
+        if symdiff(g, u, v) <= k:
+            adj[u].add(v)
+            adj[v].add(u)
+    return [frozenset(s) for s in adj]
+
+
+def nt_components_allpairs(g: Graph, k: int) -> tuple[tuple[int, ...], ...]:
+    """Components of the all-pairs NT_k graph by depth-first search,
+    each sorted, in order of their smallest member."""
+    adj = nt_edges_allpairs(g, k)
+    seen: set[int] = set()
+    comps = []
+    for v in range(g.n):
+        if v in seen:
+            continue
+        comp = [v]
+        seen.add(v)
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+                    stack.append(w)
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps)
+
+
+def nt_path_scan(g: Graph, k: int, u: int, v: int):
+    """Shortest NT_k path by BFS that scans all n vertices with a symdiff
+    test at every visited vertex; parents are the first discoverers."""
+    if u == v:
+        return [u]
+    parent = {u: -1}
+    frontier = [u]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in range(g.n):
+                if b in parent or b == a:
+                    continue
+                if symdiff(g, a, b) <= k:
+                    parent[b] = a
+                    if b == v:
+                        path = [v]
+                        while path[-1] != u:
+                            path.append(parent[path[-1]])
+                        path.reverse()
+                        return path
+                    nxt.append(b)
+        frontier = nxt
+    return None
+
+
+def near_covered_bruteforce(g: Graph, k: int, m: int, cap_n: int = 12) -> bool:
+    """Near-coverage by full subset enumeration; desk scale only."""
+    if g.n > cap_n:
+        raise ScaleExceeded("near_covered_bruteforce", f"n={g.n}")
+    nt_adj = nt_edges_allpairs(g, k)
+    for size in range(m + 1, g.n + 1):
+        for combo in combinations(range(g.n), size):
+            if all(v not in nt_adj[u] for u, v in combinations(combo, 2)):
+                return False
+    return True
+
+
+def labd_certificate_by_table(g: Graph, spec, r_max=None):
+    """labd_check's certificate (None when it passes) read off a table
+    of all-pairs BFS distances, scanning radii then centers."""
+    limit = g.n if r_max is None else min(r_max, g.n)
+    dist = [bfs_distances(g, v) for v in range(g.n)]
+    for r in range(limit + 1):
+        f_r, d_r = spec.f.eval(r, g.n), spec.d.eval(r, g.n)
+        if f_r is None or d_r is None:
+            continue
+        for v in range(g.n):
+            offenders = [u for u, du in dist[v].items() if du <= r and g.degree(u) > d_r]
+            if len(offenders) > f_r:
+                return (r, v, tuple(sorted(offenders)))
+    return None
+
+
+def light_parts(g: Graph, partition: PartPartition, h: int) -> frozenset[int]:
+    """Parts containing a vertex of degree at most h (analysis aid)."""
+    out = set()
+    for i, part in enumerate(partition.parts):
+        if any(g.degree(v) <= h for v in part):
+            out.add(i)
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +266,28 @@ def ranking_full_rescan(g: Graph, r: int, m: int, stats=None) -> RankAssignment:
             witnesses[v] = s
             unranked.discard(v)
     return RankAssignment(r, m, tuple(ranks), witnesses)
+
+
+def scol_by_permutations(g: Graph, r: int, cap_n: int = 6) -> int:
+    """Reference strong r-coloring number by trying every vertex order.
+
+    Exists to cross-check scol_bruteforce's subset DP on tiny graphs.
+    """
+    if g.n > cap_n:
+        raise ScaleExceeded("scol_by_permutations", f"n={g.n}")
+    if g.n == 0:
+        return 0
+    best = g.n
+    for perm in permutations(range(g.n)):
+        mask = 0
+        worst = 0
+        for v in perm:
+            worst = max(worst, _strong_reach_count(g, v, mask, r))
+            if worst >= best:
+                break
+            mask |= 1 << v
+        best = min(best, worst)
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import sys
 import time
 from pathlib import Path
@@ -164,6 +165,27 @@ def test_bounds_m_prime_cap(capsys):
 def test_bounds_requires_a_request(capsys):
     code, _ = run(capsys, "bounds")
     assert code == 2
+
+
+@pytest.mark.parametrize("flag,value,form", [
+    ("--g", "1,2", "c,k,t"),
+    ("--h", "1,2,3", "k,t"),
+    ("--no-ladder", "1", "k2,m2"),
+    ("--m-prime", "1,2,3,4", "d,r,m"),
+])
+def test_bounds_rejects_a_wrong_value_count(capsys, flag, value, form):
+    code = cli.main(["bounds", flag, value])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {flag} expects {form}\n"
+
+
+def test_every_subcommand_has_a_handler():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert len(sub.choices) == 13
+    for name, p in sub.choices.items():
+        assert callable(p.get_default("func")), name
 
 
 def test_labd_check_verdicts(capsys, tmp_path):

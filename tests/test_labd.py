@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,6 @@ from treerank.labd import (
     labd_check,
     linear_fn,
     locally_near_covered_check,
-    near_covered_bruteforce,
     near_covered_check,
     no_ladder_bound,
     parse_param_function,
@@ -22,7 +22,14 @@ from treerank.labd import (
 from treerank.neartwin import find_halfgraph
 from treerank.ranking import compute_ranking
 
-from helpers import complete_graph, cycle, seeded_random_graphs, star
+from helpers import (
+    complete_graph,
+    cycle,
+    labd_certificate_by_table,
+    near_covered_bruteforce,
+    seeded_random_graphs,
+    star,
+)
 
 
 class TestParamFunction:
@@ -110,6 +117,36 @@ class TestLabdCheck:
         spec = ClassSpec(table_fn({2: 0}), table_fn({2: 2}))
         assert labd_check(g, spec, r_max=1).ok
         assert not labd_check(g, spec, r_max=2).ok
+
+    def test_certificates_match_the_distance_table(self):
+        rng = random.Random(83)
+        specs = ["const:0", "const:1", "const:3", "linear:1,1", "exp2", "tower",
+                 'table:{"1": 2, "3": 0}']
+        failures = 0
+        graphs = seeded_random_graphs(40, 14, 84) + [
+            gen_random(40, 0.1, 85), gen_random(60, 0.05, 86), gen_halfgraph(7)]
+        for g in graphs:
+            for _ in range(6):
+                spec = ClassSpec(parse_param_function(rng.choice(specs)),
+                                 parse_param_function(rng.choice(specs)))
+                r_max = rng.choice([None, 0, 1, 2, 3])
+                res = labd_check(g, spec, r_max=r_max)
+                assert res.certificate == labd_certificate_by_table(g, spec, r_max)
+                assert res.ok == (res.certificate is None)
+                failures += not res.ok
+        assert failures > 20
+
+    def test_truncated_scan_keeps_memory_small(self):
+        g = gen_random(800, 3 / 800, 87)
+        spec = ClassSpec(const_fn(10), const_fn(4))
+        tracemalloc.start()
+        try:
+            res = labd_check(g, spec, r_max=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.ok
+        assert peak < 5_000_000
 
 
 class TestNearCovered:

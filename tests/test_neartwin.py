@@ -13,6 +13,7 @@ from treerank.neartwin import (
     find_halfgraph,
     g_bound,
     h_bound,
+    neartwin_graph,
     neartwin_view,
     nt_path,
     symdiff,
@@ -23,6 +24,9 @@ from helpers import (
     complete_bipartite,
     complete_graph,
     disjoint_union,
+    nt_edges_allpairs,
+    nt_path_scan,
+    seeded_dense_graphs,
     seeded_random_graphs,
     star,
 )
@@ -63,6 +67,17 @@ class TestView:
     def test_edgeless_single_component(self):
         view = neartwin_view(make_graph(5), 0)
         assert view.components == ((0, 1, 2, 3, 4),)
+
+    def test_graph_matches_allpairs_oracle(self):
+        corpus = seeded_random_graphs(30, 14, 62) + seeded_dense_graphs(20, 18, 63)
+        for g in corpus:
+            for k in (0, 1, 2, 4, 7, 11):
+                assert list(neartwin_graph(g, k).adj) == nt_edges_allpairs(g, k)
+
+    def test_negative_threshold(self):
+        assert neartwin_graph(complete_graph(4), -1).edge_count() == 0
+        with pytest.raises(ValueError):
+            neartwin_view(complete_graph(4), -1)
 
     def test_monotone_in_k(self):
         for g in seeded_random_graphs(10, 9, 61):
@@ -216,6 +231,22 @@ class TestClosenessProperty:
                                 validate_halfgraph(g, res.witness())
                                 produced += 1
         assert produced > 0
+
+    def test_nt_path_matches_scan_oracle(self):
+        corpus = (
+            seeded_random_graphs(12, 12, 64)
+            + seeded_dense_graphs(8, 14, 65)
+            + [gen_halfgraph(6), gen_halfgraph(9)]
+        )
+        found = 0
+        for g in corpus:
+            for k in (0, 1, 2, 5):
+                for u in range(g.n):
+                    for v in range(g.n):
+                        path = nt_path(g, k, u, v)
+                        assert path == nt_path_scan(g, k, u, v)
+                        found += path is not None and len(path) > 2
+        assert found > 0
 
     def test_nt_path_exists_within_component(self):
         g = gen_halfgraph(6)

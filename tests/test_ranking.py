@@ -12,7 +12,6 @@ from treerank.ranking import (
     compute_ranking,
     rank_order,
     scol_bruteforce,
-    scol_by_permutations,
     separator_search,
     separator_search_bruteforce,
 )
@@ -23,6 +22,7 @@ from helpers import (
     permute_graph,
     rank_oracle,
     ranking_full_rescan,
+    scol_by_permutations,
     seeded_random_graphs,
     star,
 )

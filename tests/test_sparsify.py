@@ -1,21 +1,24 @@
 import math
 import random
+import time
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treerank.errors import ScaleExceeded
 from treerank.graph import gen_halfgraph, gen_random, gen_tree, make_graph
 from treerank.labd import ClassSpec, const_fn
-from treerank.neartwin import neartwin_view, symdiff
+from treerank.neartwin import symdiff
 from treerank.sparsify import (
     RecoverError,
     analysis_bounds,
     class_h,
     build_sparsifier,
     classify_heavy,
+    colex_subsets,
     component_partition,
-    light_parts,
     pair_density,
     quotient_graph,
     recover,
@@ -29,8 +32,11 @@ from helpers import (
     complete_graph,
     cycle,
     disjoint_union,
+    light_parts,
+    nt_components_allpairs,
     path_graph,
     recover_graph_pairwise,
+    seeded_dense_graphs,
     seeded_random_graphs,
     star,
 )
@@ -79,7 +85,24 @@ class TestComponentPartition:
     def test_matches_view_components(self):
         for g in seeded_random_graphs(40, 12, 59):
             for k in range(4):
-                assert component_partition(g, k).parts == neartwin_view(g, k).components
+                assert component_partition(g, k).parts == nt_components_allpairs(g, k)
+
+    def test_dense_graphs_match_oracle(self):
+        # A vertex of degree above k+1 draws its candidates from k+1
+        # of its neighbors only.
+        filtered = 0
+        for g in seeded_dense_graphs(60, 24, 67):
+            for k in range(13):
+                assert component_partition(g, k).parts == nt_components_allpairs(g, k)
+                filtered += any(g.degree(v) > k + 1 for v in range(g.n))
+        assert filtered > 600
+
+    def test_matches_oracle_on_3000_graphs(self):
+        sparse = seeded_random_graphs(1500, 20, 71)
+        dense = seeded_dense_graphs(1500, 20, 73)
+        for i, g in enumerate(sparse + dense):
+            k = i % 13
+            assert component_partition(g, k).parts == nt_components_allpairs(g, k), (i, k)
 
     def test_low_degree_pooling(self):
         g = disjoint_union(make_graph(3), path_graph(2), star(1))
@@ -445,6 +468,23 @@ class TestSflipDriver:
         sg = build_sparsifier(isolated, 0, 1)
         assert labd_check(sg.graph, verifier).ok
         assert recover(sg) == isolated
+
+    def test_colex_subsets_ascend_by_bitmask(self):
+        for n in range(9):
+            for s in range(4):
+                expected = sorted(
+                    (c for size in range(s + 1) for c in combinations(range(n), size)),
+                    key=lambda c: sum(1 << v for v in c),
+                )
+                assert list(colex_subsets(n, s)) == expected
+
+    def test_candidate_cap_stops_before_the_subsets_are_listed(self):
+        # C(200, <=3) is 1.3 million subsets; only the first is visited.
+        g = gen_random(200, 2 / 200, 81)
+        t0 = time.perf_counter()
+        with pytest.raises(ScaleExceeded):
+            sflip_driver(g, 3, 0, 1, ClassSpec(const_fn(0), const_fn(0)), cap_candidates=1)
+        assert time.perf_counter() - t0 < 0.5
 
     def test_exhausted_enumeration_returns_none(self):
         g = path_graph(3)
