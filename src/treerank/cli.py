@@ -226,14 +226,15 @@ def _cmd_certify(args) -> int:
 
 def _cmd_neartwin(args) -> int:
     g = _read_graph(args)
-    view = neartwin.neartwin_view(g, args.k)
+    if args.k < 0:
+        raise ValueError("threshold must be nonnegative")
     if args.components:
         lines = [
             f"component {i} " + " ".join(str(v) for v in comp)
-            for i, comp in enumerate(view.components)
+            for i, comp in enumerate(neartwin.component_partition(g, args.k).parts)
         ]
     else:
-        lines = [f"nt {u} {v}" for u, v in view.nt_graph.edges()]
+        lines = [f"nt {u} {v}" for u, v in neartwin.neartwin_graph(g, args.k).edges()]
     _emit(args, "\n".join(lines) + "\n" if lines else "")
     return EXIT_OK
 
@@ -301,7 +302,8 @@ def _cmd_labd(args) -> int:
 
 def _cmd_near_covered(args) -> int:
     g = _read_graph(args)
-    res = labd.near_covered_check(g, args.k, args.m, exact=args.exact)
+    cap = args.cap_nodes if args.cap_nodes is not None else 2_000_000
+    res = labd.near_covered_check(g, args.k, args.m, exact=args.exact, cap_nodes=cap)
     mode = "exact" if res.exact else "greedy"
     if res.ok:
         _emit(args, f"ok {mode}\n")

@@ -1,12 +1,14 @@
 """Minimal first-order logic over the graph signature plus unary predicates.
 
-Formulas are a small immutable AST evaluated by direct recursive
-enumeration over all vertices, except that an existential over a
-conjunction ranges over its first guard conjunct (as in the guarded
-fragment): `(P name v)` limits v to the predicate's vertices, and
-`(E v u)` or `(E u v)` with u another bound variable to u's neighbors.
-Values outside the guard falsify the conjunction, so restricting the
-range never changes a truth value.
+Formulas are a small immutable AST.  Each is compiled once into nested
+closures that enumerate quantified variables over all vertices, except
+that an existential over a conjunction ranges over its first guard
+conjunct (as in the guarded fragment): `(P name v)` limits v to the
+predicate's vertices, and `(E v u)` or `(E u v)` with u another bound
+variable to u's neighbors.  The bound variables are known statically,
+so each guard is chosen at compile time.  Values outside the guard
+falsify the conjunction, so restricting the range never changes a
+truth value.
 
 Serialization is a prefix s-expression:
 
@@ -20,9 +22,10 @@ Variables and predicate names are bare symbols.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Union
+from itertools import combinations
+from typing import Callable, Iterable, Mapping, Union
 
-from .graph import Graph, bfs_distances, make_graph
+from .graph import Graph, make_graph, within_distance
 
 
 @dataclass(frozen=True)
@@ -119,100 +122,68 @@ def evaluate(g: Graph, f: Formula, assignment: Mapping[str, int]) -> bool:
     missing = free_vars(f) - set(assignment)
     if missing:
         raise ValueError(f"unbound free variables: {sorted(missing)}")
-    env = dict(assignment)
-    return _ev(g, f, env)
+    return _compile(f, frozenset(assignment))(g, dict(assignment))
 
 
-def _ev_edge(g, f, env):
-    return env[f.y] in g.adj[env[f.x]]
+def _compile(f: Formula, bound: frozenset[str]) -> Callable[[Graph, dict[str, int]], bool]:
+    """f as a closure over (g, env), where env assigns the variables in
+    bound; quantifiers bind their variable in a copy of env."""
+    if isinstance(f, Edge):
+        x, y = f.x, f.y
+        return lambda g, env: env[y] in g.adj[env[x]]
+    if isinstance(f, Eq):
+        x, y = f.x, f.y
+        return lambda g, env: env[x] == env[y]
+    if isinstance(f, Pred):
+        name, x = f.name, f.x
+        return lambda g, env: env[x] in g.predicates.get(name, frozenset())
+    if isinstance(f, Const):
+        value = f.value
+        return lambda g, env: value
+    if isinstance(f, Not):
+        inner = _compile(f.f, bound)
+        return lambda g, env: not inner(g, env)
+    if isinstance(f, (And, Or)):
+        parts = [_compile(p, bound) for p in f.parts]
+        decisive = isinstance(f, Or)  # the part value that decides the result
+
+        def junction(g, env):
+            for part in parts:
+                if part(g, env) == decisive:
+                    return decisive
+            return not decisive
+
+        return junction
+    if isinstance(f, (Exists, Forall)):
+        var, decisive = f.var, isinstance(f, Exists)  # one such instance decides
+        inner = _compile(f.f, bound | {var})
+        domain = _domain(f, bound)
+
+        def quantifier(g, env):
+            env = dict(env)  # the caller's binding of var, if any, stays
+            for v in domain(g, env):
+                env[var] = v
+                if inner(g, env) == decisive:
+                    return decisive
+            return not decisive
+
+        return quantifier
+    raise TypeError(f"not a formula: {f!r}")
 
 
-def _ev_eq(g, f, env):
-    return env[f.x] == env[f.y]
-
-
-def _ev_pred(g, f, env):
-    return env[f.x] in g.predicates.get(f.name, frozenset())
-
-
-def _ev_const(g, f, env):
-    return f.value
-
-
-def _ev_not(g, f, env):
-    return not _ev(g, f.f, env)
-
-
-def _ev_and(g, f, env):
-    return all(_ev(g, p, env) for p in f.parts)
-
-
-def _ev_or(g, f, env):
-    return any(_ev(g, p, env) for p in f.parts)
-
-
-def _ev_exists(g, f, env):
-    saved = env.get(f.var)
-    for v in _guard_range(g, f, env):
-        env[f.var] = v
-        if _ev(g, f.f, env):
-            _restore(env, f.var, saved)
-            return True
-    _restore(env, f.var, saved)
-    return False
-
-
-def _guard_range(g, f, env):
-    """Values of f.var that can satisfy f.f: its first guard, else all."""
+def _domain(f: Union[Exists, Forall], bound: frozenset[str]) -> Callable[..., Iterable[int]]:
+    """Values f.var ranges over: an existential's first guard, else all."""
     var = f.var
-    if isinstance(f.f, And):
+    if isinstance(f, Exists) and isinstance(f.f, And):
         for p in f.f.parts:
             if isinstance(p, Pred) and p.x == var:
-                return g.predicates.get(p.name, frozenset())
+                name = p.name
+                return lambda g, env: g.predicates.get(name, frozenset())
             if isinstance(p, Edge) and p.x != p.y and var in (p.x, p.y):
                 other = p.y if p.x == var else p.x
-                if other in env:
-                    return g.adj[env[other]]
-    return range(g.n)
-
-
-def _ev_forall(g, f, env):
-    saved = env.get(f.var)
-    for v in range(g.n):
-        env[f.var] = v
-        if not _ev(g, f.f, env):
-            _restore(env, f.var, saved)
-            return False
-    _restore(env, f.var, saved)
-    return True
-
-
-_EVAL = {
-    Edge: _ev_edge,
-    Eq: _ev_eq,
-    Pred: _ev_pred,
-    Const: _ev_const,
-    Not: _ev_not,
-    And: _ev_and,
-    Or: _ev_or,
-    Exists: _ev_exists,
-    Forall: _ev_forall,
-}
-
-
-def _ev(g: Graph, f: Formula, env: dict[str, int]) -> bool:
-    try:
-        handler = _EVAL[type(f)]
-    except KeyError:
-        raise TypeError(f"not a formula: {f!r}") from None
-    return handler(g, f, env)
-
-
-def _restore(env: dict[str, int], var: str, saved: int | None) -> None:
-    if saved is None:
-        env.pop(var, None)
-    else:
-        env[var] = saved
+                if other in bound:
+                    return lambda g, env: g.adj[env[other]]
+    return lambda g, env: range(g.n)
 
 
 @dataclass(frozen=True)
@@ -241,19 +212,11 @@ def apply_interpretation(g: Graph, interp: Interpretation) -> tuple[Graph, dict[
     satisfying psi in either order.  Predicates are restricted to the
     surviving vertices (empty ones are dropped).
     """
-    kept = [v for v in range(g.n) if evaluate(g, interp.delta, {"x": v})]
+    delta = _compile(interp.delta, frozenset({"x"}))
+    kept = [v for v in range(g.n) if delta(g, {"x": v})]
     remap = {v: i for i, v in enumerate(kept)}
-    edges = []
-    env: dict[str, int] = {}
-    for i, u in enumerate(kept):
-        for v in kept[i + 1 :]:
-            env["x"], env["y"] = u, v
-            if _ev(g, interp.psi, env):
-                edges.append((remap[u], remap[v]))
-                continue
-            env["x"], env["y"] = v, u
-            if _ev(g, interp.psi, env):
-                edges.append((remap[u], remap[v]))
+    holds = _either_order(g, interp.psi)
+    edges = [(remap[u], remap[v]) for u, v in combinations(kept, 2) if holds(u, v)]
     preds = {
         name: [remap[v] for v in vs if v in remap]
         for name, vs in g.predicates.items()
@@ -265,24 +228,33 @@ def check_range(g: Graph, psi: Formula, b: int) -> bool:
     """True iff no vertex pair of g at distance > b satisfies psi.
 
     This is an empirical check on one graph: unreachable pairs count as
-    distance infinity.  psi is checked in both argument orders.
+    distance infinity.  psi is checked in both argument orders.  Each
+    vertex's radius-b ball is grown on its own, so memory stays linear.
     """
     if b < 0:
         raise ValueError("range bound must be nonnegative")
-    dist = [bfs_distances(g, v) for v in range(g.n)]
-    env: dict[str, int] = {}
+    holds = _either_order(g, psi)
     for u in range(g.n):
-        du = dist[u]
+        near = within_distance(g, [u], b)
         for v in range(u + 1, g.n):
-            if du.get(v, b + 1) <= b:
-                continue
-            env["x"], env["y"] = u, v
-            if _ev(g, psi, env):
-                return False
-            env["x"], env["y"] = v, u
-            if _ev(g, psi, env):
+            if v not in near and holds(u, v):
                 return False
     return True
+
+
+def _either_order(g: Graph, psi: Formula) -> Callable[[int, int], bool]:
+    """Test of psi(u, v) or psi(v, u) on g, psi compiled once."""
+    test = _compile(psi, frozenset({"x", "y"}))
+    env: dict[str, int] = {}
+
+    def holds(u: int, v: int) -> bool:
+        env["x"], env["y"] = u, v
+        if test(g, env):
+            return True
+        env["x"], env["y"] = v, u
+        return test(g, env)
+
+    return holds
 
 
 def recovery_interpretation() -> Interpretation:

@@ -311,16 +311,39 @@ def within_distance(
     return seen
 
 
-def bfs_distances(g: Graph, source: int) -> dict[int, int]:
-    """Distance from source to every vertex reachable from it."""
-    dist = {source: 0}
-    order = [source]
-    for u in order:  # order grows while it is read: a FIFO queue
-        for w in g.adj[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                order.append(w)
-    return dist
+def shortest_path(
+    g: Graph,
+    v: int,
+    targets: AbstractSet[int],
+    r: int,
+    deleted: AbstractSet[int] = frozenset(),
+) -> Optional[list[int]]:
+    """BFS path (v, ..., t) with t in targets and <= r edges, or None.
+
+    Vertices in `deleted` are skipped, and v is never reached as a
+    target.  Deterministic: layers expand in sorted order and each
+    vertex keeps its first (smallest-id) discoverer as parent.
+    """
+    parent = {v: -1}
+    frontier = [v]
+    for _ in range(r):
+        nxt = []
+        for u in frontier:
+            for w in g.sorted_neighbors(u):
+                if w in parent or w in deleted:
+                    continue
+                parent[w] = u
+                if w in targets:
+                    path = [w]
+                    while path[-1] != v:
+                        path.append(parent[path[-1]])
+                    path.reverse()
+                    return path
+                nxt.append(w)
+        if not nxt:
+            return None
+        frontier = nxt
+    return None
 
 
 def flip(g: Graph, a: Iterable[int], b: Iterable[int]) -> Graph:

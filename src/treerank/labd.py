@@ -131,13 +131,16 @@ def labd_check(g: Graph, spec: ClassSpec, r_max: Optional[int] = None) -> LabdRe
 
     Radii where either bound exceeds n are trivially satisfied and
     skipped.  Passing r_max truncates the scan, which is a strictly
-    weaker check (fewer radii inspected).  On failure, returns the first
+    weaker check (fewer radii inspected); a negative r_max, which would
+    inspect none, raises ValueError.  On failure, returns the first
     (r, v) with the offending high-degree set.
 
     Balls are grown afresh for each (r, v) until they fill v's connected
     component, which every vertex of the component then shares, so
     memory stays linear in the size of g.
     """
+    if r_max is not None and r_max < 0:
+        raise ValueError("r_max must be nonnegative")
     n = g.n
     limit = n if r_max is None else min(r_max, n)
     degs = [g.degree(v) for v in range(n)]

@@ -15,7 +15,7 @@ from itertools import islice
 from typing import Optional, Sequence, Union
 
 from .errors import ScaleExceeded
-from .graph import Graph, make_graph
+from .graph import Graph, make_graph, shortest_path
 
 
 def symdiff(g: Graph, u: int, v: int) -> int:
@@ -359,28 +359,13 @@ def _check_chain(
 
 
 def nt_path(g: Graph, k: int, u: int, v: int) -> Optional[list[int]]:
-    """Shortest path from u to v in NT_k(g), by BFS over its rows.
+    """Shortest path from u to v in NT_k(g), by BFS over its sorted rows.
 
-    Each vertex is reached first from the earliest frontier vertex,
-    scanning rows in increasing id order.
+    Each vertex keeps its first discoverer as parent.
     """
     if u == v:
         return [u]
-    nt = neartwin_graph(g, k)
-    parent = {u: -1}
-    order = [u]
-    for a in order:  # order grows while it is read: a FIFO queue
-        for b in nt.sorted_neighbors(a):
-            if b in parent:
-                continue
-            parent[b] = a
-            order.append(b)
-            if b == v:
-                path = [v]
-                while path[-1] != u:
-                    path.append(parent[path[-1]])
-                return path[::-1]
-    return None
+    return shortest_path(neartwin_graph(g, k), u, {v}, g.n)
 
 
 def extract_halfgraph_for_pair(

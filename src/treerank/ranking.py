@@ -27,7 +27,7 @@ from itertools import combinations
 from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
 
 from .errors import ScaleExceeded
-from .graph import Graph, within_distance
+from .graph import Graph, shortest_path, within_distance
 
 INF = math.inf
 
@@ -121,7 +121,7 @@ def _sep_search(
     counter: list[int],
 ) -> Optional[frozenset[int]]:
     counter[0] += 1
-    path = _shortest_path_to_set(g, v, targets, r, deleted)
+    path = shortest_path(g, v, targets, r, deleted)
     if path is None:
         return frozenset(deleted)
     if budget == 0:
@@ -132,40 +132,6 @@ def _sep_search(
         if res is not None:
             return res
         deleted.remove(u)
-    return None
-
-
-def _shortest_path_to_set(
-    g: Graph,
-    v: int,
-    targets: AbstractSet[int],
-    r: int,
-    deleted: set[int],
-) -> Optional[list[int]]:
-    """BFS path (v, ..., t) with t in targets and <= r edges, or None.
-
-    Deterministic: layers expand in sorted order and each vertex keeps
-    its first (smallest-id) discoverer as parent.
-    """
-    parent = {v: -1}
-    frontier = [v]
-    for _ in range(r):
-        nxt = []
-        for u in frontier:
-            for w in g.sorted_neighbors(u):
-                if w in parent or w in deleted:
-                    continue
-                parent[w] = u
-                if w in targets:
-                    path = [w]
-                    while path[-1] != v:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    return path
-                nxt.append(w)
-        if not nxt:
-            return None
-        frontier = nxt
     return None
 
 
@@ -192,26 +158,9 @@ def separator_search_bruteforce(
     for size in range(m + 1):
         for combo in combinations(others, size):
             s = frozenset(combo)
-            if _ball_avoids(g, v, r, s, fa):
+            if not (within_distance(g, [v], r, s) & fa):
                 return s
     return None
-
-
-def _ball_avoids(g: Graph, v: int, r: int, deleted: frozenset[int], targets: frozenset[int]) -> bool:
-    seen = {v}
-    frontier = [v]
-    for _ in range(r):
-        nxt = []
-        for u in frontier:
-            for w in g.adj[u]:
-                if w in seen or w in deleted:
-                    continue
-                if w in targets:
-                    return False
-                seen.add(w)
-                nxt.append(w)
-        frontier = nxt
-    return True
 
 
 def compute_ranking(

@@ -16,7 +16,7 @@ import random
 from itertools import combinations, permutations, product
 
 from treerank.errors import ScaleExceeded
-from treerank.graph import Graph, bfs_distances, gen_random, make_graph
+from treerank.graph import Graph, gen_random, make_graph
 from treerank.neartwin import PartPartition, symdiff
 from treerank.ranking import RankAssignment, _strong_reach_count, separator_search
 from treerank.sparsify import RecoverError
@@ -92,6 +92,18 @@ def seeded_dense_graphs(count: int, max_n: int, seed: int) -> list[Graph]:
         else:
             out.append(gen_random(n, rng.uniform(0.6, 1.0), seed * 1000 + i))
     return out
+
+
+def bfs_distances(g: Graph, source: int) -> dict[int, int]:
+    """Distance from source to every vertex reachable from it."""
+    dist = {source: 0}
+    order = [source]
+    for u in order:  # order grows while it is read: a FIFO queue
+        for w in g.adj[u]:
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                order.append(w)
+    return dist
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +425,21 @@ def _expand(g, rel, vs, target_vs):
             env.update({v: t[idx[v]] for v in vs})
             out.add(tuple(env[v] for v in target_vs))
     return out
+
+
+def check_range_by_table(g: Graph, psi: fo.Formula, b: int) -> bool:
+    """check_range read off a table of all-pairs BFS distances, with psi
+    evaluated on each far pair in both orders through fo.evaluate."""
+    if b < 0:
+        raise ValueError("range bound must be nonnegative")
+    dist = [bfs_distances(g, v) for v in range(g.n)]
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if dist[u].get(v, b + 1) <= b:
+                continue
+            if fo.evaluate(g, psi, {"x": u, "y": v}) or fo.evaluate(g, psi, {"x": v, "y": u}):
+                return False
+    return True
 
 
 def random_formula(rng: random.Random, depth: int, variables=("x", "y", "z")) -> fo.Formula:

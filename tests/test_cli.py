@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from treerank import cli
-from treerank.graph import gen_tree, parse_graph, write_graph
+from treerank.graph import gen_random, gen_tree, parse_graph, write_graph
 from treerank.neartwin import g_bound
 from treerank.ranking import compute_ranking
 from treerank.sparsify import build_sparsifier
@@ -110,6 +110,16 @@ def test_neartwin_components(capsys, tmp_path):
     assert out.splitlines() == ["component 0 0 1 2", "component 1 3 4 5"]
 
 
+@pytest.mark.parametrize("mode", [[], ["--components"]])
+def test_neartwin_rejects_a_negative_threshold(capsys, tmp_path, mode):
+    src = tmp_path / "b.graph"
+    src.write_text(write_graph(complete_bipartite(3, 3)))
+    code = cli.main(["--input", str(src), "neartwin", "--k", "-1", *mode])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: threshold must be nonnegative\n"
+
+
 def test_halfgraph_verdicts(capsys, tmp_path):
     src = tmp_path / "h.graph"
     code, _ = run(capsys, "--output", str(src), "gen", "halfgraph", "--order", "3")
@@ -197,6 +207,16 @@ def test_labd_check_verdicts(capsys, tmp_path):
     assert code == 1 and out.startswith("cert r 0 v 0")
 
 
+def test_labd_check_rejects_a_negative_r_max(capsys, tmp_path):
+    src = tmp_path / "star.graph"
+    src.write_text(write_graph(gen_tree(1, 6)))
+    code = cli.main(["--input", str(src), "labd-check", "--f", "const:1", "--d", "const:2",
+                     "--r-max", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: r_max must be nonnegative\n"
+
+
 @pytest.mark.parametrize("flag", ["--f", "--d"])
 @pytest.mark.parametrize("spec", ['table:{"0":"x"}', "linear:1"])
 def test_labd_check_rejects_malformed_specs(capsys, tmp_path, flag, spec):
@@ -216,6 +236,16 @@ def test_near_covered_certificate(capsys, tmp_path):
     code, out = run(capsys, "--input", str(src), "near-covered", "--k", "1", "--m", "3", "--exact")
     assert code == 1
     assert out.strip() == "cert exact 0 1 2 3"
+
+
+def test_near_covered_exact_honours_cap_nodes(capsys, tmp_path):
+    src = tmp_path / "g.graph"
+    src.write_text(write_graph(gen_random(30, 0.5, 3)))
+    code = cli.main(["--input", str(src), "--cap-nodes", "1",
+                     "near-covered", "--k", "0", "--m", "25", "--exact"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "node cap" in captured.err
 
 
 def test_sparsify_recover_roundtrip(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -10,6 +11,7 @@ from treerank.graph import gen_halfgraph, gen_random, make_graph
 from treerank.sparsify import build_sparsifier, recover
 
 from helpers import (
+    check_range_by_table,
     complete_bipartite,
     eval_reference,
     guarded_formula,
@@ -182,6 +184,39 @@ def test_check_range_non_edge_fails_on_path():
     g = path_graph(4)
     psi = fo.conj(fo.Not(fo.Edge("x", "y")), fo.Not(fo.Eq("x", "y")))
     assert not fo.check_range(g, psi, 1)
+
+
+def test_check_range_matches_the_distance_table():
+    # The recovery psi on marked graphs (sparsifier outputs and random
+    # marks) and random formulas in x and y, at every b in 0..3.
+    rng = random.Random(4242)
+    recovery = fo.recovery_interpretation().psi
+    verdicts = {True: 0, False: 0}
+    for i, g in enumerate(seeded_random_graphs(320, 16, 4243)):
+        if i % 4 == 0:
+            g = build_sparsifier(g, i % 3, 1 + i % 2).graph
+        else:
+            r = [v for v in range(g.n) if rng.random() < 0.3]
+            g = make_graph(g.n, g.edges(), {"R": r, "F": [v for v in r if rng.random() < 0.5],
+                                            "B": [v for v in range(g.n) if rng.random() < 0.4]})
+        psi = recovery if i % 2 else random_formula(rng, rng.randint(1, 3), ("x", "y"))
+        for b in range(4):
+            got = fo.check_range(g, psi, b)
+            assert got == check_range_by_table(g, psi, b), (i, b, fo.format_formula(psi))
+            verdicts[got] += 1
+    assert min(verdicts.values()) > 100
+
+
+def test_check_range_memory_is_linear():
+    g = gen_random(800, 3 / 800, 88)
+    tracemalloc.start()
+    try:
+        ok = fo.check_range(g, fo.Edge("x", "y"), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert peak < 5_000_000
 
 
 def test_recovery_on_unmarked_graph():

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from treerank.graph import (
     Graph,
     ParseError,
-    bfs_distances,
     closed_ball,
     delete,
     flip,
@@ -21,7 +20,7 @@ from treerank.graph import (
     write_graph,
 )
 
-from helpers import complete_graph, path_graph, star
+from helpers import bfs_distances, complete_graph, path_graph, star
 
 
 @st.composite

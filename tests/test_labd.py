@@ -118,6 +118,10 @@ class TestLabdCheck:
         assert labd_check(g, spec, r_max=1).ok
         assert not labd_check(g, spec, r_max=2).ok
 
+    def test_negative_r_max_is_rejected(self):
+        with pytest.raises(ValueError, match="r_max must be nonnegative"):
+            labd_check(star(6), ClassSpec(const_fn(0), const_fn(2)), r_max=-1)
+
     def test_certificates_match_the_distance_table(self):
         rng = random.Random(83)
         specs = ["const:0", "const:1", "const:3", "linear:1,1", "exp2", "tower",

@@ -28,6 +28,7 @@ from treerank.sparsify import (
 )
 
 from helpers import (
+    bfs_distances,
     complete_bipartite,
     complete_graph,
     cycle,
@@ -53,20 +54,6 @@ def blowup(base, size: int, drop_matching: bool = False):
                     continue
                 edges.append((u * size + i, v * size + j))
     return make_graph(base.n * size, edges)
-
-
-def bfs_distances(g, v):
-    d = {v: 0}
-    frontier = [v]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in g.adj[u]:
-                if w not in d:
-                    d[w] = d[u] + 1
-                    nxt.append(w)
-        frontier = nxt
-    return d
 
 
 class TestComponentPartition:
