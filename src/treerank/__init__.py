@@ -16,7 +16,6 @@ from .graph import (
     Graph,
     ParseError,
     closed_ball,
-    delete,
     flip,
     gen_halfgraph,
     gen_random,
@@ -33,7 +32,6 @@ from .labd import (
     ClassSpec,
     ParamFunction,
     labd_check,
-    locally_near_covered_check,
     near_covered_check,
     no_ladder_bound,
     parse_param_function,
@@ -51,16 +49,11 @@ from .neartwin import (
 )
 from .ranking import (
     RankAssignment,
-    backconnectivity,
     compute_ranking,
     rank_order,
-    scol_bruteforce,
     separator_search,
-    separator_search_bruteforce,
 )
 from .shallow import (
-    BoundTriple,
-    bound_triple,
     contains_shallow_tree,
     extract_shallow_tree,
     m_prime,
@@ -69,13 +62,9 @@ from .shallow import (
 )
 from .sparsify import (
     SparsifiedGraph,
-    analysis_bounds,
     build_sparsifier,
-    class_h,
     classify_heavy,
     component_partition,
-    pair_density,
-    quotient_graph,
     recover,
     recover_graph,
     sflip_driver,

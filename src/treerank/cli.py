@@ -144,6 +144,11 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _cap(name: str, value: int | None) -> dict[str, int]:
+    # A cap flag that was not given leaves the library default in force.
+    return {} if value is None else {name: value}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -205,7 +210,6 @@ def _embedding_lines(emb) -> list[str]:
 
 def _cmd_certify(args) -> int:
     g = _read_graph(args)
-    cap = args.cap_nodes if args.cap_nodes is not None else 500_000
     if args.extract:
         if args.vertex is None:
             raise ValueError("--extract needs --vertex")
@@ -216,7 +220,9 @@ def _cmd_certify(args) -> int:
         emb = shallow.extract_shallow_tree(g, ra, args.vertex, args.d, args.m, args.r)
         _emit(args, "\n".join(_embedding_lines(emb)) + "\n")
         return EXIT_OK
-    emb = shallow.contains_shallow_tree(g, args.d, args.m, args.r, cap_nodes=cap)
+    emb = shallow.contains_shallow_tree(
+        g, args.d, args.m, args.r, **_cap("cap_nodes", args.cap_nodes)
+    )
     if emb is None:
         _emit(args, "absent\n")
         return EXIT_FALSE
@@ -241,8 +247,7 @@ def _cmd_neartwin(args) -> int:
 
 def _cmd_halfgraph(args) -> int:
     g = _read_graph(args)
-    cap = args.cap_nodes if args.cap_nodes is not None else 500_000
-    wit = neartwin.find_halfgraph(g, args.t, cap_nodes=cap)
+    wit = neartwin.find_halfgraph(g, args.t, **_cap("cap_nodes", args.cap_nodes))
     if wit is None:
         _emit(args, "absent\n")
         return EXIT_FALSE
@@ -302,8 +307,9 @@ def _cmd_labd(args) -> int:
 
 def _cmd_near_covered(args) -> int:
     g = _read_graph(args)
-    cap = args.cap_nodes if args.cap_nodes is not None else 2_000_000
-    res = labd.near_covered_check(g, args.k, args.m, exact=args.exact, cap_nodes=cap)
+    res = labd.near_covered_check(
+        g, args.k, args.m, exact=args.exact, **_cap("cap_nodes", args.cap_nodes)
+    )
     mode = "exact" if res.exact else "greedy"
     if res.ok:
         _emit(args, f"ok {mode}\n")
@@ -361,8 +367,9 @@ def _cmd_sflip(args) -> int:
     verifier = labd.ClassSpec(
         labd.parse_param_function(args.f), labd.parse_param_function(args.d)
     )
-    cap = args.cap_branch if args.cap_branch is not None else 200_000
-    res = sparsify.sflip_driver(g, args.s, args.k, args.h, verifier, cap_candidates=cap)
+    res = sparsify.sflip_driver(
+        g, args.s, args.k, args.h, verifier, **_cap("cap_candidates", args.cap_branch)
+    )
     if res is None:
         _emit(args, "absent\n")
         return EXIT_FALSE

@@ -243,7 +243,13 @@ def check_range(g: Graph, psi: Formula, b: int) -> bool:
 
 
 def _either_order(g: Graph, psi: Formula) -> Callable[[int, int], bool]:
-    """Test of psi(u, v) or psi(v, u) on g, psi compiled once."""
+    """Test of psi(u, v) or psi(v, u) on g, psi compiled once.
+
+    Raises ValueError if psi has a free variable other than x and y.
+    """
+    unbound = free_vars(psi) - {"x", "y"}
+    if unbound:
+        raise ValueError(f"psi may only use free variables x, y; unbound: {sorted(unbound)}")
     test = _compile(psi, frozenset({"x", "y"}))
     env: dict[str, int] = {}
 

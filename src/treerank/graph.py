@@ -43,6 +43,11 @@ class Graph:
     adj: tuple[frozenset[int], ...]
     predicates: Mapping[str, frozenset[int]] = field(default_factory=dict)
 
+    def __hash__(self) -> int:
+        # The generated hash would fail on the predicates dict; this one
+        # hashes the same values == compares.
+        return hash((self.n, self.adj, frozenset(self.predicates.items())))
+
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
@@ -426,12 +431,6 @@ def induced(g: Graph, x: Iterable[int]) -> tuple[Graph, dict[int, int]]:
         for name, vs in g.predicates.items()
     }
     return make_graph(len(keep), edges, preds), remap
-
-
-def delete(g: Graph, x: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """Delete X: induced subgraph on the complement, with remapping."""
-    fx = frozenset(x)
-    return induced(g, (v for v in range(g.n) if v not in fx))
 
 
 @dataclass(frozen=True)

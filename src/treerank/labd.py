@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .errors import ScaleExceeded
-from .graph import Graph, closed_ball, induced, within_distance
+from .graph import Graph, within_distance
 from .neartwin import neartwin_graph
 
 
@@ -60,15 +60,6 @@ class ParamFunction:
         else:
             raise ValueError(f"unknown parameter function kind {self.kind!r}")
         return v if v <= n else None
-
-    def spec(self) -> str:
-        if self.kind == "const":
-            return f"const:{self.params[0]}"
-        if self.kind == "linear":
-            return f"linear:{self.params[0]},{self.params[1]}"
-        if self.kind in ("exp2", "tower"):
-            return self.kind
-        return "table:" + json.dumps({str(r): v for r, v in sorted(self.table.items())})
 
 
 def const_fn(c: int) -> ParamFunction:
@@ -235,47 +226,6 @@ def _independent_set_of_size(
     if grow(0):
         return list(chosen)
     return None
-
-
-@dataclass(frozen=True)
-class LocalNearCoveredResult:
-    ok: bool
-    exact: bool
-    # On failure: (r, ball center, offending vertices in g's ids).
-    certificate: Optional[tuple[int, int, tuple[int, ...]]] = None
-
-
-def locally_near_covered_check(
-    g: Graph,
-    kf: ParamFunction,
-    mf: ParamFunction,
-    r_max: int,
-    exact: bool = True,
-    cap_nodes: int = 2_000_000,
-) -> LocalNearCoveredResult:
-    """Check near-coverage of every radius-r ball for r <= r_max.
-
-    Radii where k(r) or m(r) overflows the budget n are trivially
-    satisfied.  Near-twin differences are computed inside the induced
-    ball subgraph, not the host graph.
-    """
-    n = g.n
-    all_exact = True
-    for r in range(r_max + 1):
-        k_r = kf.eval(r, n)
-        m_r = mf.eval(r, n)
-        if k_r is None or m_r is None or m_r >= n:
-            continue
-        for v in range(n):
-            ball = closed_ball(g, v, r)
-            sub, remap = induced(g, ball)
-            res = near_covered_check(sub, k_r, m_r, exact=exact, cap_nodes=cap_nodes)
-            all_exact = all_exact and res.exact
-            if not res.ok:
-                back = {i: orig for orig, i in remap.items()}
-                cert = tuple(sorted(back[i] for i in res.certificate))
-                return LocalNearCoveredResult(False, res.exact, (r, v, cert))
-    return LocalNearCoveredResult(True, all_exact)
 
 
 def no_ladder_bound(k2: int, m2: int) -> int:

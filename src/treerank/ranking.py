@@ -23,10 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
+from typing import AbstractSet, Iterable, Mapping, Optional
 
-from .errors import ScaleExceeded
 from .graph import Graph, shortest_path, within_distance
 
 INF = math.inf
@@ -56,9 +54,6 @@ class RankAssignment:
     m: int
     ranks: tuple[Rank, ...]
     witnesses: Mapping[int, frozenset[int]] = field(default_factory=dict)
-
-    def rank_of(self, v: int) -> Rank:
-        return self.ranks[v]
 
     def all_finite(self) -> bool:
         return all(x != INF for x in self.ranks)
@@ -135,34 +130,6 @@ def _sep_search(
     return None
 
 
-def separator_search_bruteforce(
-    g: Graph,
-    v: int,
-    a: Iterable[int],
-    r: int,
-    m: int,
-    cap_n: int = 12,
-    cap_m: int = 4,
-) -> Optional[frozenset[int]]:
-    """Decide the same question as separator_search by subset enumeration.
-
-    Tries all S with |S| <= m in (size, lexicographic) order; intended as
-    a desk-scale oracle, so instances beyond the caps are rejected.
-    """
-    fa = frozenset(a)
-    if v in fa:
-        raise ValueError("separator target set must not contain the center")
-    if g.n > cap_n or m > cap_m:
-        raise ScaleExceeded("separator_search_bruteforce", f"n={g.n}, m={m}")
-    others = [u for u in range(g.n) if u != v]
-    for size in range(m + 1):
-        for combo in combinations(others, size):
-            s = frozenset(combo)
-            if not (within_distance(g, [v], r, s) & fa):
-                return s
-    return None
-
-
 def compute_ranking(
     g: Graph,
     r: int,
@@ -205,103 +172,3 @@ def rank_order(ra: RankAssignment) -> tuple[int, ...]:
         bad = [v for v, x in enumerate(ra.ranks) if x == INF]
         raise ValueError(f"rank order undefined: infinite rank at {bad[:5]}")
     return tuple(sorted(range(len(ra.ranks)), key=lambda v: (ra.ranks[v], v)))
-
-
-def backconnectivity(
-    g: Graph,
-    order: Sequence[int],
-    v: int,
-    r: int,
-    cap_n: int = 14,
-    cap_r: int = 3,
-) -> int:
-    """Exact maximum packing of short paths from v to later vertices.
-
-    Counts the largest set of paths of length 1..r from v, each ending at
-    a vertex after v in `order`, pairwise vertex-disjoint except at v.
-    Solved by exhaustive packing search, hence the desk-scale caps.
-    """
-    if g.n > cap_n or r > cap_r:
-        raise ScaleExceeded("backconnectivity", f"n={g.n}, r={r}")
-    pos = {u: i for i, u in enumerate(order)}
-    if len(pos) != g.n:
-        raise ValueError("order must list every vertex exactly once")
-    targets = {u for u in range(g.n) if pos[u] > pos[v]}
-    path_sets: set[frozenset[int]] = set()
-
-    def grow(last: int, used: tuple[int, ...]) -> None:
-        # len(used) counts edges walked so far; stop once r are used.
-        if len(used) == r:
-            return
-        for w in g.sorted_neighbors(last):
-            if w == v or w in used:
-                continue
-            if w in targets:
-                path_sets.add(frozenset(used + (w,)))
-            grow(w, used + (w,))
-
-    grow(v, ())
-    sets = sorted(path_sets, key=lambda s: (len(s), sorted(s)))
-    best = 0
-
-    def pack(i: int, used: frozenset[int], count: int) -> None:
-        nonlocal best
-        best = max(best, count)
-        if count + (len(sets) - i) <= best:
-            return
-        for j in range(i, len(sets)):
-            if not (sets[j] & used):
-                pack(j + 1, used | sets[j], count + 1)
-
-    pack(0, frozenset(), 0)
-    return best
-
-
-def scol_bruteforce(g: Graph, r: int, cap_n: int = 9) -> int:
-    """Exact strong r-coloring number, minimized over all vertex orders.
-
-    A vertex counts itself (the length-0 path).  The count of strongly
-    reachable vertices from v depends only on the set placed before v,
-    so the optimum is computed by DP over prefix subsets; this equals
-    the minimum over all n! orders (cross-checked in the test suite).
-    """
-    if g.n > cap_n:
-        raise ScaleExceeded("scol_bruteforce", f"n={g.n}")
-    if g.n == 0:
-        return 0
-    full = (1 << g.n) - 1
-    dp = [math.inf] * (full + 1)
-    dp[0] = 0.0
-    for mask in range(full + 1):
-        if dp[mask] == math.inf:
-            continue
-        for v in range(g.n):
-            bit = 1 << v
-            if mask & bit:
-                continue
-            cost = max(dp[mask], _strong_reach_count(g, v, mask, r))
-            nxt = mask | bit
-            if cost < dp[nxt]:
-                dp[nxt] = cost
-    return int(dp[full])
-
-
-def _strong_reach_count(g: Graph, v: int, before_mask: int, r: int) -> int:
-    # Endpoints are vertices not placed before v (v itself included);
-    # interior vertices of the connecting path must be before v.
-    count = 1
-    seen = {v}
-    frontier = [v]
-    for _ in range(r):
-        nxt = []
-        for u in frontier:
-            for w in g.adj[u]:
-                if w in seen:
-                    continue
-                seen.add(w)
-                if before_mask & (1 << w):
-                    nxt.append(w)
-                else:
-                    count += 1
-        frontier = nxt
-    return count

@@ -14,7 +14,6 @@ with an inflated branching target, and then prunes colliding branches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -46,22 +45,10 @@ def w_count(d: int, m: int, r: int) -> int:
     return v + r * (v - 1)
 
 
-@dataclass(frozen=True)
-class BoundTriple:
-    """The three quantities steering one level of the extraction."""
-
-    w: int        # vertex budget of one finished child subtree
-    big_m: int    # inflated branching requested from the recursion
-    m_prime: int  # rank parameter guaranteeing this level
-
-
-def bound_triple(d: int, r: int, m: int) -> BoundTriple:
-    """W, M, and m_prime for extracting the (d, m) pattern at radius r."""
-    if d < 2:
-        raise ValueError("the triple is defined for d >= 2")
-    w = w_count(d, m, r)
-    big_m = m * w + r * m + m
-    return BoundTriple(w, big_m, m_prime(d, r, m))
+def _inflated(d: int, m: int, r: int) -> int:
+    """M = m*W + r*m + m with W = w_count(d, m, r): the branching a
+    depth-d level asks of the next level down."""
+    return m * w_count(d, m, r) + r * m + m
 
 
 # Cap on m_prime's inflated branching, in bits.  Each level raises the
@@ -89,7 +76,7 @@ def m_prime(d: int, r: int, m: int) -> int:
                 "m_prime",
                 f"inflated branching would pass {M_PRIME_MAX_BITS} bits at depth {level}",
             )
-        m = m * w_count(level, m, r) + r * m + m
+        m = _inflated(level, m, r)
     return m - 1
 
 
@@ -269,7 +256,7 @@ def _extract(g: Graph, v: int, d: int, m: int, r: int, cache: dict[int, RankAssi
             raise RuntimeError(f"vertex {v} has degree {len(nbrs)} < {m}")
         return (v, [((v, u), (u, [])) for u in nbrs[:m]])
 
-    big_m = m * w_count(d, m, r) + r * m + m
+    big_m = _inflated(d, m, r)
     # Greedy disjoint short paths from v to rank >= d vertices: at most
     # r*(m-1) vertices are ever blocked, within the separator budget, so
     # the ranking guarantees the next target is reachable.

@@ -14,13 +14,12 @@ exact on every input graph, class member or not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from .errors import ScaleExceeded
 from .graph import Graph, flip, make_graph, s_flip, s_flip_classes
 from .labd import ClassSpec, labd_check
-from .neartwin import PartPartition, component_partition, symdiff
+from .neartwin import PartPartition, component_partition
 
 
 @dataclass(frozen=True)
@@ -117,32 +116,6 @@ def build_sparsifier(g: Graph, k: int, h: int) -> SparsifiedGraph:
     return SparsifiedGraph(out, apex, flips, g.n, partition, h)
 
 
-def validate_sparsified(sg: SparsifiedGraph) -> None:
-    """Check the construction invariants; raises ValueError on violation."""
-    g = sg.graph
-    r_set = g.predicates.get("R", frozenset())
-    f_set = g.predicates.get("F", frozenset())
-    if r_set != frozenset(sg.apex.values()):
-        raise ValueError("R marks disagree with the apex record")
-    if not f_set <= r_set:
-        raise ValueError("F marks escape the R marks")
-    apex_partner: dict[int, set[int]] = {a: set() for a in sg.apex.values()}
-    for i, j in sg.flipped_pairs:
-        if i != j:
-            apex_partner[sg.apex[i]].add(sg.apex[j])
-            apex_partner[sg.apex[j]].add(sg.apex[i])
-    for i, a_vertex in sg.apex.items():
-        expected = set(sg.partition.parts[i]) | apex_partner[a_vertex]
-        if set(g.adj[a_vertex]) != expected:
-            raise ValueError(f"apex {a_vertex} adjacency disagrees with part {i}")
-    self_flipped = frozenset(sg.apex[i] for i, j in sg.flipped_pairs if i == j)
-    if f_set != self_flipped:
-        raise ValueError("F marks disagree with the self-flipped parts")
-    for v in range(sg.original_n):
-        if len(g.adj[v] & r_set) > 1:
-            raise ValueError(f"original vertex {v} has multiple marked neighbors")
-
-
 class RecoverError(ValueError):
     """The marked graph violates the invariants recovery relies on."""
 
@@ -204,68 +177,6 @@ def recover(sg: SparsifiedGraph) -> Graph:
     return out
 
 
-def quotient_graph(g: Graph, partition: PartPartition) -> Graph:
-    """Parts as vertices; parts adjacent when any cross edge exists."""
-    part_of = partition.part_of()
-    edges = set()
-    for u, v in g.edges():
-        pu, pv = part_of[u], part_of[v]
-        if pu != pv:
-            edges.add((min(pu, pv), max(pu, pv)))
-    return make_graph(len(partition.parts), edges)
-
-
-@dataclass(frozen=True)
-class PairDensityReport:
-    verdict: str  # "sparse" | "dense" | "mixed"
-    preconditions_ok: bool
-    notes: tuple[str, ...] = ()
-
-
-def pair_density(g: Graph, a: Iterable[int], b: Iterable[int], k: int) -> PairDensityReport:
-    """Classify the cross adjacency of two near-twin blocks.
-
-    Sparse: every vertex sees at most 2k of the other side; dense: every
-    vertex misses at most 2k of the other side; mixed otherwise.  The
-    dichotomy hypotheses (sizes >= 5k+1, pairwise k-near-twins inside
-    each block) are checked and reported, never assumed.
-    """
-    fa, fb = sorted(frozenset(a)), sorted(frozenset(b))
-    notes = []
-    pre_ok = True
-    if len(fa) < 5 * k + 1 or len(fb) < 5 * k + 1:
-        pre_ok = False
-        notes.append(f"sizes ({len(fa)},{len(fb)}) below {5 * k + 1}")
-    for name, block in (("A", fa), ("B", fb)):
-        bad = next(
-            (
-                (u, v)
-                for u, v in combinations(block, 2)
-                if symdiff(g, u, v) > k
-            ),
-            None,
-        )
-        if bad is not None:
-            pre_ok = False
-            notes.append(f"pair {bad} in {name} is not {k}-near-twin")
-    sb, sa = frozenset(fb), frozenset(fa)
-    sparse = all(len(g.adj[u] & sb) <= 2 * k for u in fa) and all(
-        len(g.adj[v] & sa) <= 2 * k for v in fb
-    )
-    dense = all(len(sb - g.adj[u] - {u}) <= 2 * k for u in fa) and all(
-        len(sa - g.adj[v] - {v}) <= 2 * k for v in fb
-    )
-    if sparse and not dense:
-        verdict = "sparse"
-    elif dense and not sparse:
-        verdict = "dense"
-    elif sparse and dense:
-        verdict = "sparse"  # tiny blocks can satisfy both; sparse wins
-    else:
-        verdict = "mixed"
-    return PairDensityReport(verdict, pre_ok, tuple(notes))
-
-
 def colex_subsets(n: int, s: int) -> Iterator[tuple[int, ...]]:
     """Subsets of range(n) with at most s elements, lazily, in ascending
     order of their bitmasks: each top element follows all smaller ones,
@@ -323,25 +234,3 @@ def sflip_driver(
             if labd_check(sg.graph, verifier).ok:
                 return SflipResult(subset, spec, tuple(classes), flipped, sg)
     return None
-
-
-def class_h(k3: int, k2: int, m2: int) -> int:
-    """Heaviness threshold implied by class functions at radii 2 and 3.
-
-    Convenience wrapper: the excluded half-graph order is
-    no_ladder_bound(k2, m2) and the threshold is h_bound(k3, t).
-    """
-    from .labd import no_ladder_bound
-    from .neartwin import h_bound
-
-    return h_bound(k3, no_ladder_bound(k2, m2))
-
-
-def analysis_bounds(h: int, m3: int, k6r: int) -> dict[str, int]:
-    """Analysis-only constants for diagnostics: the excluded biclique
-    order and the near-twin threshold of the high-degree counting step.
-    No tested guarantee is attached to the latter."""
-    return {
-        "biclique_order": 5 * h * m3 + 1,
-        "neartwin_threshold": (5 * h + 1) * m3 + k6r + 1,
-    }

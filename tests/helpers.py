@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from itertools import combinations, permutations, product
+from typing import Iterable, Optional, Sequence
 
 from treerank.errors import ScaleExceeded
-from treerank.graph import Graph, gen_random, make_graph
+from treerank.graph import Graph, closed_ball, gen_random, induced, make_graph, within_distance
+from treerank.labd import ParamFunction, near_covered_check
 from treerank.neartwin import PartPartition, symdiff
-from treerank.ranking import RankAssignment, _strong_reach_count, separator_search
-from treerank.sparsify import RecoverError
+from treerank.ranking import RankAssignment, separator_search
+from treerank.sparsify import RecoverError, SparsifiedGraph
 
 INF = math.inf
 
@@ -92,6 +95,34 @@ def seeded_dense_graphs(count: int, max_n: int, seed: int) -> list[Graph]:
         else:
             out.append(gen_random(n, rng.uniform(0.6, 1.0), seed * 1000 + i))
     return out
+
+
+# Block flip pattern over four blocks: a symmetric 0/1 matrix with
+# pairwise distinct rows, so each block is its own near-twin component.
+# (i, i) complements inside block i, (i, j) between blocks i and j.
+FLIP_PATTERN = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 3), (2, 3), (3, 3))
+
+
+def flipped_blocks(n: int, seed: int) -> tuple[Graph, Graph]:
+    """A G(n, 3/n) base under FLIP_PATTERN over four random blocks of
+    n // 4 vertices, which complements most vertex pairs.
+
+    Returns (flipped graph, base).  The pairs are toggled here directly,
+    not through the library's flip.
+    """
+    base = gen_random(n, 3 / n, seed)
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    size = n // 4
+    blocks = [sorted(perm[i * size : (i + 1) * size]) for i in range(4)]
+    edges = set(base.edges())
+    for i, j in FLIP_PATTERN:
+        if i == j:
+            pairs = combinations(blocks[i], 2)
+        else:
+            pairs = product(blocks[i], blocks[j])
+        edges.symmetric_difference_update((min(x, y), max(x, y)) for x, y in pairs)
+    return make_graph(n, edges), base
 
 
 def bfs_distances(g: Graph, source: int) -> dict[int, int]:
@@ -197,6 +228,47 @@ def labd_certificate_by_table(g: Graph, spec, r_max=None):
     return None
 
 
+@dataclass(frozen=True)
+class LocalNearCoveredResult:
+    ok: bool
+    exact: bool
+    # On failure: (r, ball center, offending vertices in g's ids).
+    certificate: Optional[tuple[int, int, tuple[int, ...]]] = None
+
+
+def locally_near_covered_check(
+    g: Graph,
+    kf: ParamFunction,
+    mf: ParamFunction,
+    r_max: int,
+    exact: bool = True,
+    cap_nodes: int = 2_000_000,
+) -> LocalNearCoveredResult:
+    """Check near-coverage of every radius-r ball for r <= r_max.
+
+    Radii where k(r) or m(r) overflows the budget n are trivially
+    satisfied.  Near-twin differences are computed inside the induced
+    ball subgraph, not the host graph.
+    """
+    n = g.n
+    all_exact = True
+    for r in range(r_max + 1):
+        k_r = kf.eval(r, n)
+        m_r = mf.eval(r, n)
+        if k_r is None or m_r is None or m_r >= n:
+            continue
+        for v in range(n):
+            ball = closed_ball(g, v, r)
+            sub, remap = induced(g, ball)
+            res = near_covered_check(sub, k_r, m_r, exact=exact, cap_nodes=cap_nodes)
+            all_exact = all_exact and res.exact
+            if not res.ok:
+                back = {i: orig for orig, i in remap.items()}
+                cert = tuple(sorted(back[i] for i in res.certificate))
+                return LocalNearCoveredResult(False, res.exact, (r, v, cert))
+    return LocalNearCoveredResult(True, all_exact)
+
+
 def light_parts(g: Graph, partition: PartPartition, h: int) -> frozenset[int]:
     """Parts containing a vertex of degree at most h (analysis aid)."""
     out = set()
@@ -280,6 +352,139 @@ def ranking_full_rescan(g: Graph, r: int, m: int, stats=None) -> RankAssignment:
     return RankAssignment(r, m, tuple(ranks), witnesses)
 
 
+# ---------------------------------------------------------------------------
+# Brute-force ranking oracles: subset enumeration, exhaustive path
+# packing, and the strong coloring number by DP over vertex subsets.
+
+
+def separator_search_bruteforce(
+    g: Graph,
+    v: int,
+    a: Iterable[int],
+    r: int,
+    m: int,
+    cap_n: int = 12,
+    cap_m: int = 4,
+) -> Optional[frozenset[int]]:
+    """Decide the same question as separator_search by subset enumeration.
+
+    Tries all S with |S| <= m in (size, lexicographic) order; intended as
+    a desk-scale oracle, so instances beyond the caps are rejected.
+    """
+    fa = frozenset(a)
+    if v in fa:
+        raise ValueError("separator target set must not contain the center")
+    if g.n > cap_n or m > cap_m:
+        raise ScaleExceeded("separator_search_bruteforce", f"n={g.n}, m={m}")
+    others = [u for u in range(g.n) if u != v]
+    for size in range(m + 1):
+        for combo in combinations(others, size):
+            s = frozenset(combo)
+            if not (within_distance(g, [v], r, s) & fa):
+                return s
+    return None
+
+
+def backconnectivity(
+    g: Graph,
+    order: Sequence[int],
+    v: int,
+    r: int,
+    cap_n: int = 14,
+    cap_r: int = 3,
+) -> int:
+    """Exact maximum packing of short paths from v to later vertices.
+
+    Counts the largest set of paths of length 1..r from v, each ending at
+    a vertex after v in `order`, pairwise vertex-disjoint except at v.
+    Solved by exhaustive packing search, hence the desk-scale caps.
+    """
+    if g.n > cap_n or r > cap_r:
+        raise ScaleExceeded("backconnectivity", f"n={g.n}, r={r}")
+    pos = {u: i for i, u in enumerate(order)}
+    if len(pos) != g.n:
+        raise ValueError("order must list every vertex exactly once")
+    targets = {u for u in range(g.n) if pos[u] > pos[v]}
+    path_sets: set[frozenset[int]] = set()
+
+    def grow(last: int, used: tuple[int, ...]) -> None:
+        # len(used) counts edges walked so far; stop once r are used.
+        if len(used) == r:
+            return
+        for w in g.sorted_neighbors(last):
+            if w == v or w in used:
+                continue
+            if w in targets:
+                path_sets.add(frozenset(used + (w,)))
+            grow(w, used + (w,))
+
+    grow(v, ())
+    sets = sorted(path_sets, key=lambda s: (len(s), sorted(s)))
+    best = 0
+
+    def pack(i: int, used: frozenset[int], count: int) -> None:
+        nonlocal best
+        best = max(best, count)
+        if count + (len(sets) - i) <= best:
+            return
+        for j in range(i, len(sets)):
+            if not (sets[j] & used):
+                pack(j + 1, used | sets[j], count + 1)
+
+    pack(0, frozenset(), 0)
+    return best
+
+
+def scol_bruteforce(g: Graph, r: int, cap_n: int = 9) -> int:
+    """Exact strong r-coloring number, minimized over all vertex orders.
+
+    A vertex counts itself (the length-0 path).  The count of strongly
+    reachable vertices from v depends only on the set placed before v,
+    so the optimum is computed by DP over prefix subsets; this equals
+    the minimum over all n! orders (cross-checked in the test suite).
+    """
+    if g.n > cap_n:
+        raise ScaleExceeded("scol_bruteforce", f"n={g.n}")
+    if g.n == 0:
+        return 0
+    full = (1 << g.n) - 1
+    dp = [math.inf] * (full + 1)
+    dp[0] = 0.0
+    for mask in range(full + 1):
+        if dp[mask] == math.inf:
+            continue
+        for v in range(g.n):
+            bit = 1 << v
+            if mask & bit:
+                continue
+            cost = max(dp[mask], _strong_reach_count(g, v, mask, r))
+            nxt = mask | bit
+            if cost < dp[nxt]:
+                dp[nxt] = cost
+    return int(dp[full])
+
+
+def _strong_reach_count(g: Graph, v: int, before_mask: int, r: int) -> int:
+    # Endpoints are vertices not placed before v (v itself included);
+    # interior vertices of the connecting path must be before v.
+    count = 1
+    seen = {v}
+    frontier = [v]
+    for _ in range(r):
+        nxt = []
+        for u in frontier:
+            for w in g.adj[u]:
+                if w in seen:
+                    continue
+                seen.add(w)
+                if before_mask & (1 << w):
+                    nxt.append(w)
+                else:
+                    count += 1
+        frontier = nxt
+    return count
+
+
 def scol_by_permutations(g: Graph, r: int, cap_n: int = 6) -> int:
     """Reference strong r-coloring number by trying every vertex order.
 
@@ -343,6 +548,88 @@ def recover_graph_pairwise(g: Graph) -> tuple[Graph, dict[int, int]]:
         if name not in ("R", "F")
     }
     return make_graph(len(keep), edges, preds), remap
+
+
+# ---------------------------------------------------------------------------
+# Sparsifier oracles: the construction's invariants and the
+# sparse/dense dichotomy of near-twin block pairs, checked directly.
+
+
+def validate_sparsified(sg: SparsifiedGraph) -> None:
+    """Check the construction invariants; raises ValueError on violation."""
+    g = sg.graph
+    r_set = g.predicates.get("R", frozenset())
+    f_set = g.predicates.get("F", frozenset())
+    if r_set != frozenset(sg.apex.values()):
+        raise ValueError("R marks disagree with the apex record")
+    if not f_set <= r_set:
+        raise ValueError("F marks escape the R marks")
+    apex_partner: dict[int, set[int]] = {a: set() for a in sg.apex.values()}
+    for i, j in sg.flipped_pairs:
+        if i != j:
+            apex_partner[sg.apex[i]].add(sg.apex[j])
+            apex_partner[sg.apex[j]].add(sg.apex[i])
+    for i, a_vertex in sg.apex.items():
+        expected = set(sg.partition.parts[i]) | apex_partner[a_vertex]
+        if set(g.adj[a_vertex]) != expected:
+            raise ValueError(f"apex {a_vertex} adjacency disagrees with part {i}")
+    self_flipped = frozenset(sg.apex[i] for i, j in sg.flipped_pairs if i == j)
+    if f_set != self_flipped:
+        raise ValueError("F marks disagree with the self-flipped parts")
+    for v in range(sg.original_n):
+        if len(g.adj[v] & r_set) > 1:
+            raise ValueError(f"original vertex {v} has multiple marked neighbors")
+
+
+@dataclass(frozen=True)
+class PairDensityReport:
+    verdict: str  # "sparse" | "dense" | "mixed"
+    preconditions_ok: bool
+    notes: tuple[str, ...] = ()
+
+
+def pair_density(g: Graph, a: Iterable[int], b: Iterable[int], k: int) -> PairDensityReport:
+    """Classify the cross adjacency of two near-twin blocks.
+
+    Sparse: every vertex sees at most 2k of the other side; dense: every
+    vertex misses at most 2k of the other side; mixed otherwise.  The
+    dichotomy hypotheses (sizes >= 5k+1, pairwise k-near-twins inside
+    each block) are checked and reported, never assumed.
+    """
+    fa, fb = sorted(frozenset(a)), sorted(frozenset(b))
+    notes = []
+    pre_ok = True
+    if len(fa) < 5 * k + 1 or len(fb) < 5 * k + 1:
+        pre_ok = False
+        notes.append(f"sizes ({len(fa)},{len(fb)}) below {5 * k + 1}")
+    for name, block in (("A", fa), ("B", fb)):
+        bad = next(
+            (
+                (u, v)
+                for u, v in combinations(block, 2)
+                if symdiff(g, u, v) > k
+            ),
+            None,
+        )
+        if bad is not None:
+            pre_ok = False
+            notes.append(f"pair {bad} in {name} is not {k}-near-twin")
+    sb, sa = frozenset(fb), frozenset(fa)
+    sparse = all(len(g.adj[u] & sb) <= 2 * k for u in fa) and all(
+        len(g.adj[v] & sa) <= 2 * k for v in fb
+    )
+    dense = all(len(sb - g.adj[u] - {u}) <= 2 * k for u in fa) and all(
+        len(sa - g.adj[v] - {v}) <= 2 * k for v in fb
+    )
+    if sparse and not dense:
+        verdict = "sparse"
+    elif dense and not sparse:
+        verdict = "dense"
+    elif sparse and dense:
+        verdict = "sparse"  # tiny blocks can satisfy both; sparse wins
+    else:
+        verdict = "mixed"
+    return PairDensityReport(verdict, pre_ok, tuple(notes))
 
 
 # ---------------------------------------------------------------------------

@@ -34,24 +34,26 @@ from treerank.neartwin import (
 from treerank.ranking import (
     INF,
     SearchStats,
-    backconnectivity,
     compute_ranking,
     rank_order,
-    scol_bruteforce,
     separator_search,
-    separator_search_bruteforce,
 )
 from treerank.shallow import extract_shallow_tree, m_prime, validate_embedding, w_count
-from treerank.sparsify import build_sparsifier, pair_density, recover
+from treerank.sparsify import build_sparsifier, recover
 
 from helpers import (
+    backconnectivity,
     complete_bipartite,
     complete_graph,
     cycle,
     disjoint_union,
+    flipped_blocks,
+    pair_density,
     path_graph,
     rank_oracle,
+    scol_bruteforce,
     seeded_random_graphs,
+    separator_search_bruteforce,
     star,
 )
 
@@ -398,4 +400,48 @@ def test_criterion_11_performance_envelope():
         11,
         f"ranking n=3000 in {rank_elapsed:.1f}s (max {stats.max_nodes_per_search} "
         f"expansions/search), sparsifier n=5000 in {sparsify_elapsed:.1f}s",
+    )
+
+
+def test_criterion_12_sparsifier_output_has_tree_rank_two():
+    """The sparsifier maps a flip of a bounded-degree graph to H with
+    G = I(H) and max rank <= 2, for parameters fixed by the base degree D.
+
+    Inputs: the four-block flip pattern and complements of G(n, 3/n),
+    each of degree about n/2.  With k = 2D+2 every flipped block is one
+    near-twin component, and h = ceil(D/2) keeps the sparse background
+    light, so H is the base plus one apex per flipped block.  The dense
+    inputs themselves have max rank infinity at the same (r, m).
+
+    The rank is checked directly, not by extracting a shallow tree:
+    extraction needs the ranking at m_prime(2, 1, D+1), which is 188 at
+    D = 8.  At that m every non-apex vertex of H has rank 1, so no
+    vertex has the rank above 2 an extraction starts from.
+    """
+    t0 = time.time()
+    cases = []
+    for n in (200, 400):
+        for seed in (1, 2, 3):
+            cases.append(("blocks", n, seed, *flipped_blocks(n, seed)))
+        for seed in (1, 2):
+            base = gen_random(n, 3 / n, seed)
+            g = make_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                               if v not in base.adj[u]])
+            cases.append(("complement", n, seed, g, base))
+    for kind, n, seed, g, base in cases:
+        d = max(base.degree(v) for v in range(n))
+        k, h, m = 2 * d + 2, max(1, math.ceil(d / 2)), d + 1
+        sg = build_sparsifier(g, k, h)
+        assert recover(sg) == g, (kind, n, seed)
+        assert all(sg.graph.degree(v) <= d + 1 for v in range(n)), (kind, n, seed)
+        for r in (1, 2, 3):
+            assert compute_ranking(sg.graph, r, m).max_rank() <= 2, (kind, n, seed, r)
+        if n == 200:
+            assert compute_ranking(g, 1, m).max_rank() == INF, (kind, n, seed)
+    elapsed = time.time() - t0
+    assert elapsed < 60
+    _report(
+        12,
+        f"{len(cases)} flipped inputs n<=400: recovery exact, non-apex degree <= D+1, "
+        f"rank <= 2 at r=1..3 (dense inputs: inf) in {elapsed:.1f}s",
     )

@@ -1,12 +1,18 @@
 import argparse
+import contextlib
+import inspect
+import io
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treerank import cli
-from treerank.graph import gen_random, gen_tree, parse_graph, write_graph
+from treerank import cli, labd, neartwin, shallow, sparsify
+from treerank.graph import gen_random, gen_tree, make_graph, parse_graph, write_graph
 from treerank.neartwin import g_bound
 from treerank.ranking import compute_ranking
 from treerank.sparsify import build_sparsifier
@@ -326,3 +332,159 @@ def test_scale_cap_exit_code(capsys, tmp_path):
     code = cli.main(["--input", str(src), "--cap-nodes", "3",
                      "certify", "--d", "2", "--m", "3", "--r", "2"])
     assert code == 3
+
+
+@pytest.mark.parametrize("argv, fn, param, flag", [
+    (["certify", "--d", "2", "--m", "2", "--r", "1"],
+     shallow.contains_shallow_tree, "cap_nodes", "--cap-nodes"),
+    (["halfgraph", "--t", "3"], neartwin.find_halfgraph, "cap_nodes", "--cap-nodes"),
+    (["near-covered", "--k", "1", "--m", "3", "--exact"],
+     labd.near_covered_check, "cap_nodes", "--cap-nodes"),
+    (["sflip-search", "--s", "1", "--k", "0", "--h", "1", "--f", "const:0", "--d", "const:1"],
+     sparsify.sflip_driver, "cap_candidates", "--cap-branch"),
+])
+def test_cap_flags_default_to_the_library_caps(capsys, tmp_path, argv, fn, param, flag):
+    # Without the flag the library's own default applies: passing that
+    # value changes nothing, and a cap of 1 aborts with exit 3.
+    src = tmp_path / "g.graph"
+    src.write_text(write_graph(gen_random(10, 0.4, 7)))
+    default = inspect.signature(fn).parameters[param].default
+    results = []
+    for cap in ([], [flag, str(default)]):
+        code = cli.main(["--input", str(src), *cap, *argv])
+        results.append((code, *capsys.readouterr()))
+    assert results[0] == results[1]
+    assert results[0][0] in (0, 1)
+    assert cli.main(["--input", str(src), flag, "1", *argv]) == 3
+    assert "scale cap exceeded" in capsys.readouterr().err
+
+
+# Flag values for the fuzz test: small, so every run stays desk-scale,
+# with negative and non-numeric values among them.
+_INT = st.sampled_from(["0", "1", "2", "3"] * 4 + ["-1", "x"])
+_CAP = st.sampled_from(["-1", "0", "1", "40"])
+_SPEC = st.sampled_from(["const:0", "const:2", "linear:1,1", "exp2", "tower",
+                         'table:{"0": 1, "1": null}'] * 3 + ["linear:1", "cubic:3", ""])
+
+
+def _tuple(size: int):
+    # Mostly the size the flag expects, sometimes one off.
+    sizes = st.sampled_from([size] * 5 + [size - 1, size + 1])
+    return sizes.flatmap(lambda k: st.lists(st.integers(-1, 4), min_size=k, max_size=k)).map(
+        lambda xs: ",".join(map(str, xs)))
+
+
+_PATH = "PATH"  # replaced by a path in the run's scratch directory
+_FLAGS = {
+    "gen": {"--depth": _INT, "--branch": _INT, "--order": _INT, "--n": _INT,
+            "--p": st.sampled_from(["0", "0.3", "1", "-0.5", "x"]), "--subdivide": _INT},
+    "rank": {"--r": _INT, "--m": _INT, "--witness": None},
+    "certify": {"--d": _INT, "--m": _INT, "--r": _INT, "--extract": None, "--vertex": _INT},
+    "neartwin": {"--k": _INT, "--components": None},
+    "halfgraph": {"--t": _INT},
+    "bounds": {"--g": _tuple(3), "--h": _tuple(2), "--no-ladder": _tuple(2),
+               "--m-prime": _tuple(3)},
+    "labd-check": {"--f": _SPEC, "--d": _SPEC, "--r-max": _INT},
+    "near-covered": {"--k": _INT, "--m": _INT, "--exact": None},
+    "sparsify": {"--k": _INT, "--h": _INT, "--out": _PATH},
+    "recover": {},
+    "verify-roundtrip": {"--k": _INT, "--h": _INT},
+    "sflip-search": {"--s": st.sampled_from(["-1", "0", "1"]), "--k": _INT, "--h": _INT,
+                     "--f": _SPEC, "--d": _SPEC},
+    "corpus": {"--family": st.sampled_from(["trees", "random", "halfgraph", "mixed", "x"]),
+               "--out": _PATH, "--count": _INT, "--max-n": _INT, "--max-t": _INT},
+}
+_GLOBAL = {"--seed": _INT, "--cap-nodes": _CAP, "--cap-branch": _CAP, "--output": _PATH}
+_JUNK = ("", "p 3 0", "e 0 0", "e 0 99", "e 1", "l", "l R x", "q 1 2", "e a b", "p -1 0")
+
+
+@st.composite
+def _graph_texts(draw):
+    """Valid, marked and malformed graph files."""
+    n = draw(st.integers(0, 9))
+    g = gen_random(n, draw(st.sampled_from([0.2, 0.5, 0.9])), draw(st.integers(0, 99)))
+    kind = draw(st.sampled_from(["plain", "plain", "sparsified", "marked", "malformed"]))
+    if kind == "sparsified":
+        g = build_sparsifier(g, draw(st.integers(0, 3)), draw(st.integers(1, 2))).graph
+    elif kind == "marked":
+        r_mask, f_mask = draw(st.integers(0, 2**n - 1)), draw(st.integers(0, 2**n - 1))
+        g = make_graph(n, g.edges(), {"R": [v for v in range(n) if r_mask >> v & 1],
+                                      "F": [v for v in range(n) if f_mask >> v & 1]})
+    lines = write_graph(g).splitlines()
+    if kind == "malformed":
+        i = draw(st.integers(0, len(lines) - 1))
+        junk = draw(st.sampled_from(_JUNK))
+        edit = draw(st.sampled_from(["insert", "replace", "delete", "duplicate"]))
+        if edit == "insert":
+            lines.insert(i, junk)
+        elif edit == "replace":
+            lines[i] = junk
+        elif edit == "delete":
+            del lines[i]
+        else:
+            lines.insert(i, lines[i])
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand with random flags and now and then a stray token.
+
+    Global flags go before or after the subcommand, its own flags after
+    it.  `PATH` values stand for files in a scratch directory.
+    """
+    cmd = draw(st.sampled_from(sorted(_FLAGS)))
+
+    def flag_words(flags, odds):
+        # Each flag is given with probability `odds`.
+        words = []
+        for flag, values in flags.items():
+            if draw(st.integers(1, 20)) <= 20 * odds:
+                words.append([flag] if values is None else
+                             [flag, values if values == _PATH else draw(values)])
+        return words
+
+    before = flag_words(_GLOBAL, 1 / 4)
+    split = draw(st.integers(0, len(before)))
+    after = before[split:] + flag_words(_FLAGS[cmd], 9 / 10)
+    if cmd == "gen":
+        after.append([draw(st.sampled_from(["tree", "halfgraph", "random", "x"]))])
+    if draw(st.integers(1, 10)) == 1:
+        after.append([draw(st.sampled_from(["--bogus", "--k", "7", "-"]))])
+    words = before[:split] + [[cmd]] + draw(st.permutations(after))
+    return [w for ws in words for w in ws]
+
+
+def _run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+_VERDICTS = ("absent", "cert ", "roundtrip FAILED")
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(text=_graph_texts(), argv=_argvs(), input_state=st.sampled_from(["file"] * 7 + ["missing"]))
+def test_cli_fuzz_exits_with_a_documented_status(text, argv, input_state):
+    """No input ends in a traceback or an undocumented exit status, and
+    exit 1 always comes with a certificate, an `absent` line, or a
+    `recover aborted` / `roundtrip FAILED` report."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "in.graph"
+        if input_state == "file":
+            src.write_text(text)
+        paths = iter(str(Path(tmp) / f"out{i}") for i in range(len(argv)))
+        argv = ["--input", str(src)] + [next(paths) if w == _PATH else w for w in argv]
+        code, out, err = _run_cli(argv)
+        assert "Traceback" not in err
+        assert code in (0, 1, 2, 3), (argv, code)
+        if code == 1:
+            written = [p.read_text() for p in Path(tmp).glob("out*") if p.is_file()]
+            assert any(s.startswith(_VERDICTS) for s in [out, *written]) or (
+                err.startswith("recover aborted: ")), (argv, out, written, err)
+        if code != 2:
+            # --quiet hides the verdict line but not the exit status.
+            assert _run_cli(argv + ["--quiet"])[0] == code, argv
+

@@ -186,6 +186,16 @@ def test_check_range_non_edge_fails_on_path():
     assert not fo.check_range(g, psi, 1)
 
 
+def test_check_range_rejects_free_variables_beyond_x_y():
+    # Raised before any pair is tested, so graphs without pairs too.
+    for g in (gen_random(6, 0.3, 1), make_graph(1)):
+        with pytest.raises(ValueError, match=r"unbound: \['z'\]"):
+            fo.check_range(g, fo.Pred("R", "z"), 0)
+        with pytest.raises(ValueError, match=r"unbound: \['u', 'w'\]"):
+            fo.check_range(g, fo.conj(fo.Edge("x", "w"), fo.Eq("u", "y")), 2)
+    assert fo.check_range(gen_random(6, 0.3, 1), fo.Exists("z", fo.Pred("R", "z")), 0)
+
+
 def test_check_range_matches_the_distance_table():
     # The recovery psi on marked graphs (sparsifier outputs and random
     # marks) and random formulas in x and y, at every b in 0..3.

@@ -6,7 +6,6 @@ from treerank.graph import (
     Graph,
     ParseError,
     closed_ball,
-    delete,
     flip,
     gen_halfgraph,
     gen_random,
@@ -95,7 +94,25 @@ class TestWrite:
     @settings(max_examples=60)
     @given(graphs(with_predicates=True))
     def test_roundtrip_any(self, g):
-        assert parse_graph(write_graph(g)) == g
+        back = parse_graph(write_graph(g))
+        assert back == g and hash(back) == hash(g)
+
+
+class TestHash:
+    def test_equal_graphs_are_one_set_member_and_dict_key(self):
+        edges = [(0, 1), (1, 2), (2, 3)]
+        by_make = make_graph(4, edges, {"R": [0], "F": [0, 3]})
+        by_parse = parse_graph("p 4 3\ne 2 3\ne 0 1\ne 1 2\nl F 3 0\nl R 0\n")
+        # Predicates inserted in the other order, rows built by hand.
+        by_hand = Graph(4, by_make.adj, {"F": frozenset({0, 3}), "R": frozenset({0})})
+        by_flips = flip(flip(by_make, {0, 1}, {2, 3}), {2, 3}, {0, 1})
+        same = [by_make, by_parse, by_hand, by_flips]
+        assert all(g == by_make for g in same)
+        assert len(set(same)) == 1
+        seen = {g: i for i, g in enumerate(same)}
+        assert seen == {by_make: 3}
+        other = make_graph(4, edges, {"R": [0]})
+        assert len({by_make, other}) == 2 and other not in seen
 
 
 class TestGenerators:
@@ -246,8 +263,8 @@ class TestBallsFlipsSubgraphs:
         assert sub == g and remap == {v: v for v in range(6)}
 
     def test_delete_triangle_vertex(self):
-        sub, _ = delete(complete_graph(3), {0})
-        assert sub.edges() == [(0, 1)]
+        sub, remap = induced(complete_graph(3), {1, 2})
+        assert sub.edges() == [(0, 1)] and remap == {1: 0, 2: 1}
 
     def test_induced_halfgraph_pair(self):
         g = gen_halfgraph(3)

@@ -13,7 +13,6 @@ from treerank.labd import (
     const_fn,
     labd_check,
     linear_fn,
-    locally_near_covered_check,
     near_covered_check,
     no_ladder_bound,
     parse_param_function,
@@ -26,6 +25,7 @@ from helpers import (
     complete_graph,
     cycle,
     labd_certificate_by_table,
+    locally_near_covered_check,
     near_covered_bruteforce,
     seeded_random_graphs,
     star,
@@ -60,16 +60,16 @@ class TestParamFunction:
         assert f.eval(2, 10) is None  # missing radius counts as overflow
 
     def test_parse_roundtrip(self):
-        for spec in ["const:5", "linear:2,1", "exp2", "tower"]:
-            f = parse_param_function(spec)
-            assert f.spec() == spec
+        for spec, f in [("const:5", const_fn(5)), ("linear:2,1", linear_fn(2, 1)),
+                        ("exp2", ParamFunction("exp2")), ("tower", ParamFunction("tower"))]:
+            assert parse_param_function(spec) == f
         with pytest.raises(ValueError):
             parse_param_function("cubic:3")
 
     def test_parse_table(self):
         f = parse_param_function('table:{"0": 3, "2": null}')
         assert f.table == {0: 3, 2: None}
-        assert f.spec() == 'table:{"0": 3, "2": null}'
+        assert f == table_fn({0: 3, 2: None})
 
     @pytest.mark.parametrize("spec", [
         "const:", "const:x", "linear:1", "linear:1,2,3", "linear:a,b",

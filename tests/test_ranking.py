@@ -8,22 +8,22 @@ from treerank.graph import closed_ball, gen_random, gen_tree, make_graph
 from treerank.ranking import (
     INF,
     SearchStats,
-    backconnectivity,
     compute_ranking,
     rank_order,
-    scol_bruteforce,
     separator_search,
-    separator_search_bruteforce,
 )
 
 from helpers import (
+    backconnectivity,
     complete_graph,
     path_graph,
     permute_graph,
     rank_oracle,
     ranking_full_rescan,
+    scol_bruteforce,
     scol_by_permutations,
     seeded_random_graphs,
+    separator_search_bruteforce,
     star,
 )
 

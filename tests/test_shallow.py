@@ -6,7 +6,6 @@ from treerank.errors import ScaleExceeded
 from treerank.graph import Embedding, gen_random, gen_tree, make_graph, subdivide
 from treerank.ranking import compute_ranking
 from treerank.shallow import (
-    bound_triple,
     contains_shallow_tree,
     extract_shallow_tree,
     m_prime,
@@ -65,11 +64,11 @@ class TestBoundArithmetic:
                 for m in (1, 2, 3):
                     assert m_prime(d, r, m) >= r * m
 
-    def test_bound_triple(self):
-        t = bound_triple(2, 1, 2)
-        assert (t.w, t.big_m, t.m_prime) == (5, 14, 13)
-        with pytest.raises(ValueError):
-            bound_triple(1, 1, 2)
+    def test_m_prime_inflates_branching_by_w(self):
+        # (d, r, m) = (2, 1, 2): W = 5 and M = 2*5 + 1*2 + 2 = 14, so
+        # m_prime is the depth-1 parameter at branching 14.
+        assert w_count(2, 2, 1) == 5
+        assert m_prime(2, 1, 2) == m_prime(1, 1, 14) == 13
 
 
 class TestContains:

@@ -9,22 +9,17 @@ from hypothesis import strategies as st
 
 from treerank.errors import ScaleExceeded
 from treerank.graph import gen_halfgraph, gen_random, gen_tree, make_graph
-from treerank.labd import ClassSpec, const_fn
-from treerank.neartwin import symdiff
+from treerank.labd import ClassSpec, const_fn, no_ladder_bound
+from treerank.neartwin import h_bound, symdiff
 from treerank.sparsify import (
     RecoverError,
-    analysis_bounds,
-    class_h,
     build_sparsifier,
     classify_heavy,
     colex_subsets,
     component_partition,
-    pair_density,
-    quotient_graph,
     recover,
     recover_graph,
     sflip_driver,
-    validate_sparsified,
 )
 
 from helpers import (
@@ -35,11 +30,13 @@ from helpers import (
     disjoint_union,
     light_parts,
     nt_components_allpairs,
+    pair_density,
     path_graph,
     recover_graph_pairwise,
     seeded_dense_graphs,
     seeded_random_graphs,
     star,
+    validate_sparsified,
 )
 
 
@@ -302,22 +299,6 @@ class TestRoundTrip:
             validate_sparsified(broken)
 
 
-class TestQuotient:
-    def test_complete_bipartite_edge(self):
-        g = complete_bipartite(7, 7)
-        q = quotient_graph(g, component_partition(g, 0))
-        assert q.n == 2 and q.edges() == [(0, 1)]
-
-    def test_edgeless(self):
-        g = make_graph(4)
-        q = quotient_graph(g, component_partition(g, 1))
-        assert q.edge_count() == 0
-
-    def test_cycle_by_singletons(self):
-        g = cycle(10)
-        assert quotient_graph(g, component_partition(g, 0)) == g
-
-
 class TestConditionalGuarantees:
     def _parts_pairwise_near(self, g, partition, h):
         for part in partition.parts:
@@ -409,14 +390,10 @@ class TestConditionalGuarantees:
 
 
 class TestDerivedThresholds:
-    def test_class_h_wrapper(self):
+    def test_h_bound_at_excluded_half_graph_order(self):
         # excluded half-graph order for (k2=0, m2=2) is 3; the closeness
         # bound at k3=0 is then 2*g(4,0,3) = 40
-        assert class_h(0, 0, 2) == 40
-
-    def test_analysis_bounds_surface(self):
-        got = analysis_bounds(h=2, m3=3, k6r=1)
-        assert got == {"biclique_order": 31, "neartwin_threshold": 35}
+        assert h_bound(0, no_ladder_bound(0, 2)) == 40
 
 
 class TestSflipDriver:
