@@ -291,12 +291,13 @@ def _cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+def _class_spec(args) -> labd.ClassSpec:
+    return labd.ClassSpec(labd.parse_param_function(args.f), labd.parse_param_function(args.d))
+
+
 def _cmd_labd(args) -> int:
     g = _read_graph(args)
-    spec = labd.ClassSpec(
-        labd.parse_param_function(args.f), labd.parse_param_function(args.d)
-    )
-    res = labd.labd_check(g, spec, r_max=args.r_max)
+    res = labd.labd_check(g, _class_spec(args), r_max=args.r_max)
     if res.ok:
         _emit(args, "ok\n")
         return EXIT_OK
@@ -364,11 +365,8 @@ def _cmd_roundtrip(args) -> int:
 
 def _cmd_sflip(args) -> int:
     g = _read_graph(args)
-    verifier = labd.ClassSpec(
-        labd.parse_param_function(args.f), labd.parse_param_function(args.d)
-    )
     res = sparsify.sflip_driver(
-        g, args.s, args.k, args.h, verifier, **_cap("cap_candidates", args.cap_branch)
+        g, args.s, args.k, args.h, _class_spec(args), **_cap("cap_candidates", args.cap_branch)
     )
     if res is None:
         _emit(args, "absent\n")

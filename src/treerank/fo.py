@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Union
 
-from .graph import Graph, make_graph, within_distance
+from .graph import Graph, relabel, within_distance
 
 
 @dataclass(frozen=True)
@@ -214,14 +214,8 @@ def apply_interpretation(g: Graph, interp: Interpretation) -> tuple[Graph, dict[
     """
     delta = _compile(interp.delta, frozenset({"x"}))
     kept = [v for v in range(g.n) if delta(g, {"x": v})]
-    remap = {v: i for i, v in enumerate(kept)}
     holds = _either_order(g, interp.psi)
-    edges = [(remap[u], remap[v]) for u, v in combinations(kept, 2) if holds(u, v)]
-    preds = {
-        name: [remap[v] for v in vs if v in remap]
-        for name, vs in g.predicates.items()
-    }
-    return make_graph(len(kept), edges, preds), remap
+    return relabel(g, kept, [(u, v) for u, v in combinations(kept, 2) if holds(u, v)])
 
 
 def check_range(g: Graph, psi: Formula, b: int) -> bool:

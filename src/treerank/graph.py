@@ -191,28 +191,24 @@ def write_graph(g: Graph) -> str:
 # subdivision vertices are appended after the original ids.
 
 
-def gen_tree(d: int, m: int) -> Graph:
-    """Complete rooted tree of depth d where every non-leaf has m children.
+def tree_children(d: int, m: int) -> list[list[int]]:
+    """Children lists of the complete rooted tree of depth d where every
+    non-leaf has m children.
 
     Vertex 0 is the root; ids follow BFS (level) order, so level i spans
-    ids sum(m^j for j<i) .. sum(m^j for j<=i)-1.
+    ids sum(m^j for j<i) .. sum(m^j for j<=i)-1 and the children of p
+    are m*p+1 .. m*p+m.
     """
     if d < 0 or m < 1:
         raise ValueError("need depth >= 0 and branching >= 1")
-    total = sum(m**i for i in range(d + 1))
-    edges = []
-    frontier = [0]
-    next_id = 1
-    for _ in range(d):
-        new_frontier = []
-        for parent in frontier:
-            for _ in range(m):
-                edges.append((parent, next_id))
-                new_frontier.append(next_id)
-                next_id += 1
-        frontier = new_frontier
-    assert next_id == total
-    return make_graph(total, edges)
+    internal = sum(m**i for i in range(d))
+    return [list(range(m * p + 1, m * p + m + 1)) for p in range(internal)] + [[] for _ in range(m**d)]
+
+
+def gen_tree(d: int, m: int) -> Graph:
+    """The tree_children(d, m) tree as a graph."""
+    children = tree_children(d, m)
+    return make_graph(len(children), [(p, c) for p, kids in enumerate(children) for c in kids])
 
 
 def subdivide(g: Graph, counts: Mapping[tuple[int, int], int] | int) -> Graph:
@@ -415,22 +411,27 @@ def s_flip(g: Graph, s: Iterable[int], flips: Iterable[tuple[int, int]]) -> Grap
     return out
 
 
+def relabel(g: Graph, keep: Iterable[int], edges: Iterable[tuple[int, int]]) -> tuple[Graph, dict[int, int]]:
+    """Graph on the vertices `keep` of g, ids remapped densely in sorted
+    order, with `edges` (pairs of kept vertices, in g's ids) and g's
+    predicates restricted to `keep`.  Returns (graph, mapping) where
+    mapping sends old ids to new.
+    """
+    remap = {v: i for i, v in enumerate(sorted(keep))}
+    preds = {name: [remap[v] for v in vs if v in remap] for name, vs in g.predicates.items()}
+    return make_graph(len(remap), ((remap[u], remap[v]) for u, v in edges), preds), remap
+
+
 def induced(g: Graph, x: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     """Induced subgraph on X with ids remapped densely (sorted order).
 
     Returns (subgraph, mapping) where mapping sends old ids to new ids.
     """
-    keep = sorted(frozenset(x))
-    for v in keep:
+    keep = frozenset(x)
+    for v in sorted(keep):
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} out of range")
-    remap = {v: i for i, v in enumerate(keep)}
-    edges = [(remap[u], remap[v]) for u, v in g.edges() if u in remap and v in remap]
-    preds = {
-        name: [remap[v] for v in vs if v in remap]
-        for name, vs in g.predicates.items()
-    }
-    return make_graph(len(keep), edges, preds), remap
+    return relabel(g, keep, [(u, v) for u, v in g.edges() if u in keep and v in keep])
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Optional, Sequence, Union
 
-from .errors import ScaleExceeded
+from .errors import BOUND_MAX_BITS, ScaleExceeded
 from .graph import Graph, make_graph, shortest_path
 
 
@@ -120,9 +120,16 @@ def component_partition(g: Graph, k: int) -> PartPartition:
 
 def g_bound(c: int, k: int, t: int) -> int:
     """Surplus-neighborhood recurrence: g(c,k,1) = c and
-    g(c,k,t) = g(c,k,t-1)*(t-1) + k + c."""
+    g(c,k,t) = g(c,k,t-1)*(t-1) + k + c.  Raises ScaleExceeded, before
+    multiplying out, when the bits of (t-1)!, a lower bound on the value
+    for c >= 1 and k >= 0, pass BOUND_MAX_BITS."""
     if t < 1:
         raise ValueError("need t >= 1")
+    bits = 0
+    for s in range(2, t):
+        bits += s.bit_length() - 1
+        if bits > BOUND_MAX_BITS:
+            raise ScaleExceeded("g_bound", f"(t-1)! passes {BOUND_MAX_BITS} bits")
     value = c
     for s in range(2, t + 1):
         value = value * (s - 1) + k + c
@@ -177,49 +184,33 @@ def find_halfgraph(g: Graph, t: int, cap_nodes: int = 500_000) -> Optional[Halfg
         return None
     by_degree = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     used: set[int] = set()
-    us: list[int] = []
-    ws: list[int] = []
-    budget = [cap_nodes]
+    sides: tuple[list[int], list[int]] = ([], [])  # u_1.., w_1..
+    budget = cap_nodes
 
-    def place_u() -> bool:
-        budget[0] -= 1
-        if budget[0] < 0:
+    def place(is_w: bool) -> bool:
+        # Place the next u, non-adjacent to every w placed so far, or the
+        # next w, adjacent to every u placed so far; each call is one
+        # node of the search.
+        nonlocal budget
+        budget -= 1
+        if budget < 0:
             raise ScaleExceeded("find_halfgraph", "node cap")
-        i = len(us)
-        if i == t:
+        if not is_w and len(sides[0]) == t:
             return True
+        other = sides[not is_w]
         for cand in by_degree:
-            if cand in used:
+            if cand in used or any((cand in g.adj[x]) != is_w for x in other):
                 continue
-            if any(cand in g.adj[w] for w in ws):
-                continue
-            us.append(cand)
+            sides[is_w].append(cand)
             used.add(cand)
-            if place_w():
+            if place(not is_w):
                 return True
             used.discard(cand)
-            us.pop()
+            sides[is_w].pop()
         return False
 
-    def place_w() -> bool:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise ScaleExceeded("find_halfgraph", "node cap")
-        for cand in by_degree:
-            if cand in used:
-                continue
-            if any(cand not in g.adj[u] for u in us):
-                continue
-            ws.append(cand)
-            used.add(cand)
-            if place_u():
-                return True
-            used.discard(cand)
-            ws.pop()
-        return False
-
-    if place_u():
-        return HalfgraphWitness(tuple(us), tuple(ws))
+    if place(False):
+        return HalfgraphWitness(tuple(sides[0]), tuple(sides[1]))
     return None
 
 
@@ -252,19 +243,17 @@ def extract_halfgraph(
     nt_path: Sequence[int],
     k: int,
     t: int,
-    c: Optional[int] = None,
 ) -> Union[HalfgraphExtraction, ExtractionFailure]:
     """Run the constructive argument along a near-twin path.
 
     nt_path must be a simple path v_1..v_m in NT_k(g) and the surplus set
-    S = N(v_m) \\ N(v_1) must have at least g_bound(c, k, t) elements,
-    with c >= t + 1 (default t + 1).  On success returns the w/X chain
-    plus the selected u side; every free choice takes the smallest id.
+    S = N(v_m) \\ N(v_1) must have at least g_bound(t + 1, k, t)
+    elements.  On success returns the w/X chain plus the selected u side;
+    every free choice takes the smallest id.
     """
-    if c is None:
-        c = t + 1
-    if t < 1 or c < t + 1:
-        raise ValueError("need t >= 1 and c >= t + 1")
+    if t < 1:
+        raise ValueError("need t >= 1")
+    c = t + 1
     path = list(nt_path)
     if len(path) < 1 or len(set(path)) != len(path):
         return ExtractionFailure("precondition", "input is not a simple path")
@@ -374,16 +363,13 @@ def extract_halfgraph_for_pair(
     t: int,
     u: int,
     v: int,
-    c: Optional[int] = None,
 ) -> Union[HalfgraphExtraction, ExtractionFailure]:
     """Extraction driver for a same-component pair differing too much.
 
     Orients the pair so the surplus side is large enough, finds a
     near-twin path between them, and extracts.
     """
-    if c is None:
-        c = t + 1
-    need = g_bound(c, k, t)
+    need = g_bound(t + 1, k, t)
     if len(g.adj[v] - g.adj[u]) >= need:
         lo, hi = u, v
     elif len(g.adj[u] - g.adj[v]) >= need:
@@ -395,4 +381,4 @@ def extract_halfgraph_for_pair(
     path = nt_path(g, k, lo, hi)
     if path is None:
         return ExtractionFailure("precondition", "vertices share no near-twin path")
-    return extract_halfgraph(g, path, k, t, c)
+    return extract_halfgraph(g, path, k, t)

@@ -17,23 +17,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Optional
 
-from .errors import ScaleExceeded
-from .graph import Embedding, Graph
+from .errors import BOUND_MAX_BITS, ScaleExceeded
+from .graph import Embedding, Graph, tree_children
 from .ranking import RankAssignment, compute_ranking
-
-
-def tree_children(d: int, m: int) -> list[list[int]]:
-    """Children lists of the depth-d branching-m tree in BFS id order."""
-    if d < 0 or m < 1:
-        raise ValueError("need depth >= 0 and branching >= 1")
-    total = sum(m**i for i in range(d + 1))
-    internal = sum(m**i for i in range(d))
-    children: list[list[int]] = [[] for _ in range(total)]
-    next_id = 1
-    for parent in range(internal):
-        children[parent] = list(range(next_id, next_id + m))
-        next_id += m
-    return children
 
 
 def w_count(d: int, m: int, r: int) -> int:
@@ -51,12 +37,6 @@ def _inflated(d: int, m: int, r: int) -> int:
     return m * w_count(d, m, r) + r * m + m
 
 
-# Cap on m_prime's inflated branching, in bits.  Each level raises the
-# branching to about the power of its depth, so (12, 2, 2) would need
-# about 5 million bits at depth 6; (8, 1, 1) needs 21,537.
-M_PRIME_MAX_BITS = 2**20
-
-
 @lru_cache(maxsize=None)
 def m_prime(d: int, r: int, m: int) -> int:
     """Rank parameter guaranteeing extraction of the (d, m) tree pattern.
@@ -66,15 +46,15 @@ def m_prime(d: int, r: int, m: int) -> int:
     m'' = m_prime(d-1, r, M) and return max(m'', r*m).  As M > r*m + 1,
     the max is always m'', so a loop carries M down the levels.  Raises
     ScaleExceeded when m**d, a lower bound on the level's M, passes
-    M_PRIME_MAX_BITS bits.
+    BOUND_MAX_BITS bits.
     """
     if d < 1 or r < 1 or m < 1:
         raise ValueError("need d >= 1, r >= 1, m >= 1")
     for level in range(d, 1, -1):
-        if level * (m.bit_length() - 1) + 1 > M_PRIME_MAX_BITS:
+        if level * (m.bit_length() - 1) + 1 > BOUND_MAX_BITS:
             raise ScaleExceeded(
                 "m_prime",
-                f"inflated branching would pass {M_PRIME_MAX_BITS} bits at depth {level}",
+                f"inflated branching would pass {BOUND_MAX_BITS} bits at depth {level}",
             )
         m = _inflated(level, m, r)
     return m - 1
@@ -130,10 +110,18 @@ def contains_shallow_tree(
 
     Root candidates are tried in id order; tree edges are realized in DFS
     preorder, enumerating candidate paths lexicographically.  Aborts with
-    ScaleExceeded when the backtracking tree outgrows cap_nodes.
+    ScaleExceeded when the backtracking tree outgrows cap_nodes.  Returns
+    None at once when the pattern has more nodes than g has vertices,
+    counting them level by level so no count passes (m + 1) * g.n.
     """
     if d < 0 or m < 1 or r < 0:
         raise ValueError("need d >= 0, m >= 1, r >= 0")
+    nodes = level = 1
+    for _ in range(d):
+        level *= m
+        nodes += level
+        if nodes > g.n:
+            return None
     children = tree_children(d, m)
     edge_seq: list[tuple[int, int]] = []
 
@@ -143,51 +131,46 @@ def contains_shallow_tree(
             collect(c)
 
     collect(0)
-    budget = [cap_nodes]
+    budget = cap_nodes
+    principal: dict[int, int] = {}
+    paths: dict[tuple[int, int], tuple[int, ...]] = {}
+    used: set[int] = set()
+
+    def realize(k: int) -> bool:
+        # Realize edge_seq[k:]; each call is one node of the search.
+        nonlocal budget
+        budget -= 1
+        if budget < 0:
+            raise ScaleExceeded("contains_shallow_tree", "node cap")
+        if k == len(edge_seq):
+            return True
+        parent, child = edge_seq[k]
+        need = len(children[child])
+        for path in _simple_paths(g, principal[parent], r + 1, used):
+            end = path[-1]
+            # A non-root principal consumes one incident edge per child path
+            # plus the arriving one.
+            if g.degree(end) < need + 1:
+                continue
+            principal[child] = end
+            paths[(parent, child)] = path
+            used.update(path[1:])
+            if realize(k + 1):
+                return True
+            used.difference_update(path[1:])
+            del paths[(parent, child)]
+            del principal[child]
+        return False
+
     for root in range(g.n):
         if g.degree(root) < len(children[0]):
             continue
-        principal = {0: root}
-        paths: dict[tuple[int, int], tuple[int, ...]] = {}
-        used = {root}
-        if _realize(g, children, edge_seq, 0, principal, paths, used, r, budget):
+        principal[0] = root
+        used.add(root)
+        if realize(0):
             return Embedding(dict(principal), dict(paths))
+        used.remove(root)
     return None
-
-
-def _realize(
-    g: Graph,
-    children: list[list[int]],
-    edge_seq: list[tuple[int, int]],
-    k: int,
-    principal: dict[int, int],
-    paths: dict[tuple[int, int], tuple[int, ...]],
-    used: set[int],
-    r: int,
-    budget: list[int],
-) -> bool:
-    budget[0] -= 1
-    if budget[0] < 0:
-        raise ScaleExceeded("contains_shallow_tree", "node cap")
-    if k == len(edge_seq):
-        return True
-    parent, child = edge_seq[k]
-    need = len(children[child])
-    for path in _simple_paths(g, principal[parent], r + 1, used):
-        end = path[-1]
-        # A non-root principal consumes one incident edge per child path
-        # plus the arriving one.
-        if g.degree(end) < need + 1:
-            continue
-        principal[child] = end
-        paths[(parent, child)] = path
-        used.update(path[1:])
-        if _realize(g, children, edge_seq, k + 1, principal, paths, used, r, budget):
-            return True
-        used.difference_update(path[1:])
-        del paths[(parent, child)]
-        del principal[child]
-    return False
 
 
 def _simple_paths(g: Graph, start: int, max_edges: int, used: set[int]):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
 from .errors import ScaleExceeded
-from .graph import Graph, flip, make_graph, s_flip, s_flip_classes
+from .graph import Graph, flip, relabel, s_flip, s_flip_classes
 from .labd import ClassSpec, labd_check
 from .neartwin import PartPartition, component_partition
 
@@ -144,7 +144,6 @@ def recover_graph(g: Graph) -> tuple[Graph, dict[int, int]]:
         if len(marked) > 1:
             raise RecoverError(f"vertex {v} has {len(marked)} marked neighbors")
         mark[v] = next(iter(marked)) if marked else None
-    remap = {v: i for i, v in enumerate(keep)}
     # With one mark per kept vertex, an apex's kept neighbors are the
     # vertices it marks, and these parts are disjoint.
     members = {a: g.adj[a] - r_set for a in r_set}
@@ -159,14 +158,9 @@ def recover_graph(g: Graph) -> tuple[Graph, dict[int, int]]:
         mx = mark[x]
         # x may enter its own row through toggle; y > x drops it.
         row = g.adj[x] if mx is None else (g.adj[x] - r_set) ^ toggle[mx]
-        rx = remap[x]
-        edges.extend((rx, remap[y]) for y in row if y > x)
-    preds = {
-        name: [remap[v] for v in vs if v in remap]
-        for name, vs in g.predicates.items()
-        if name not in ("R", "F")
-    }
-    return make_graph(len(keep), edges, preds), remap
+        edges.extend((x, y) for y in row if y > x)
+    # Every R vertex is dropped and F lies in R, so relabel drops both marks.
+    return relabel(g, keep, edges)
 
 
 def recover(sg: SparsifiedGraph) -> Graph:

@@ -178,6 +178,18 @@ def test_bounds_m_prime_cap(capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("flag,value", [("--g", "3,2,300000"), ("--h", "2,300000")])
+def test_bounds_g_and_h_stop_at_the_bit_cap(capsys, flag, value):
+    t0 = time.time()
+    code = cli.main(["bounds", flag, value])
+    elapsed = time.time() - t0
+    captured = capsys.readouterr()
+    assert code == 3 and elapsed < 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: g_bound: scale cap exceeded")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_bounds_requires_a_request(capsys):
     code, _ = run(capsys, "bounds")
     assert code == 2
@@ -329,8 +341,9 @@ def test_parse_error_exit_code(capsys, tmp_path):
 def test_scale_cap_exit_code(capsys, tmp_path):
     src = tmp_path / "dense.graph"
     src.write_text(write_graph(complete_graph(12)))
+    # The 7-node pattern fits in K12, so the search runs into the cap.
     code = cli.main(["--input", str(src), "--cap-nodes", "3",
-                     "certify", "--d", "2", "--m", "3", "--r", "2"])
+                     "certify", "--d", "2", "--m", "2", "--r", "2"])
     assert code == 3
 
 

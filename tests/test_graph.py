@@ -272,6 +272,14 @@ class TestBallsFlipsSubgraphs:
         assert sub.edge_count() == 1
         assert sub.predicates == {"U": frozenset({remap[0]}), "W": frozenset({remap[3]})}
 
+    def test_induced_ids_follow_sorted_order(self):
+        # frozenset({1, 2, 8}) iterates 8 first; the new ids still follow
+        # the old ones' order.
+        g = make_graph(9, [(1, 8), (2, 8)], {"R": [8]})
+        sub, remap = induced(g, {8, 1, 2})
+        assert remap == {1: 0, 2: 1, 8: 2}
+        assert sub.edges() == [(0, 2), (1, 2)] and sub.predicates == {"R": frozenset({2})}
+
     def test_induced_remaps_predicates(self):
         g = make_graph(4, [(1, 3)], {"R": [1, 2]})
         sub, remap = induced(g, {1, 3})

@@ -137,6 +137,18 @@ class TestFindHalfgraph:
         with pytest.raises(ScaleExceeded):
             find_halfgraph(g, 4, cap_nodes=3)
 
+    @pytest.mark.parametrize("n, p, seed, t, cap, found", [
+        (10, 0.5, 6, 4, 474, True),
+        (12, 0.25, 4, 4, 1420, False),
+    ])
+    def test_each_search_node_costs_one_unit(self, n, p, seed, t, cap, found):
+        # cap is the fewest nodes the search needs on this input.
+        g = gen_random(n, p, seed)
+        wit = find_halfgraph(g, t, cap_nodes=cap)
+        assert (wit is not None) == found
+        with pytest.raises(ScaleExceeded):
+            find_halfgraph(g, t, cap_nodes=cap - 1)
+
     def test_validator_rejects_wrong_pattern(self):
         g = complete_graph(4)
         with pytest.raises(ValueError):
@@ -146,7 +158,7 @@ class TestFindHalfgraph:
 class TestExtraction:
     def test_base_case_order_one(self):
         g = star(4)  # leaf-to-center near-twin path, symdiff 5
-        res = extract_halfgraph(g, [1, 0], 5, 1, c=2)
+        res = extract_halfgraph(g, [1, 0], 5, 1)
         assert isinstance(res, HalfgraphExtraction)
         assert res.w == (0,)  # last path vertex
         assert res.u == (1,)  # smallest member of the surplus set

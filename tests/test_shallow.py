@@ -1,15 +1,15 @@
 import random
+import tracemalloc
 
 import pytest
 
 from treerank.errors import ScaleExceeded
-from treerank.graph import Embedding, gen_random, gen_tree, make_graph, subdivide
+from treerank.graph import Embedding, gen_random, gen_tree, make_graph, subdivide, tree_children
 from treerank.ranking import compute_ranking
 from treerank.shallow import (
     contains_shallow_tree,
     extract_shallow_tree,
     m_prime,
-    tree_children,
     validate_embedding,
     w_count,
 )
@@ -93,6 +93,31 @@ class TestContains:
         g = gen_random(14, 0.6, 3)
         with pytest.raises(ScaleExceeded):
             contains_shallow_tree(g, 2, 3, 2, cap_nodes=5)
+
+    @pytest.mark.parametrize("n, p, seed, d, m, r, cap", [
+        (16, 0.2, 5, 2, 3, 1, 1342),
+        (12, 0.3, 2, 2, 2, 1, 172),
+    ])
+    def test_each_search_node_costs_one_unit(self, n, p, seed, d, m, r, cap):
+        # cap is the fewest nodes the search needs to find the pattern.
+        g = gen_random(n, p, seed)
+        assert contains_shallow_tree(g, d, m, r, cap_nodes=cap) is not None
+        with pytest.raises(ScaleExceeded):
+            contains_shallow_tree(g, d, m, r, cap_nodes=cap - 1)
+
+    def test_pattern_larger_than_graph_is_absent_at_once(self):
+        # The (6, 10) pattern has 1,111,111 nodes; a 12-vertex graph
+        # cannot hold it, whatever the cap.
+        g = gen_random(12, 0.8, 1)
+        tracemalloc.start()
+        try:
+            assert contains_shallow_tree(g, 6, 10, 1, cap_nodes=1) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
+        # A pattern with exactly g.n nodes is still searched.
+        assert contains_shallow_tree(gen_tree(2, 3), 2, 3, 0) is not None
 
 
 class TestValidator:
