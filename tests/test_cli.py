@@ -42,6 +42,34 @@ def test_gen_with_subdivision_and_output_file(capsys, tmp_path):
     assert parse_graph(target.read_text()).n == 5
 
 
+@pytest.mark.parametrize("argv, cap, code", [
+    (["gen", "tree", "--depth", "7", "--branch", "10"], None, 3),
+    (["gen", "tree", "--depth", "1000000000", "--branch", "2"], None, 3),
+    (["gen", "tree", "--depth", "1000000000", "--branch", "1"], None, 3),
+    (["gen", "tree", "--depth", "2", "--branch", "3"], "12", 3),
+    (["gen", "tree", "--depth", "2", "--branch", "3"], "13", 0),
+    (["gen", "tree", "--depth", "1", "--branch", "2", "--subdivide", "5"], "12", 3),
+    (["gen", "tree", "--depth", "1", "--branch", "2", "--subdivide", "5"], "13", 0),
+    (["gen", "tree", "--depth", "5", "--branch", "10", "--subdivide", "9"], None, 3),
+    (["gen", "halfgraph", "--order", "3", "--subdivide", "1000000"], None, 3),
+    (["gen", "halfgraph", "--order", "3", "--subdivide", "2"], "18", 0),
+    (["gen", "halfgraph", "--order", "3", "--subdivide", "2"], "17", 3),
+])
+def test_gen_output_size_is_capped_before_building(capsys, argv, cap, code):
+    # The default cap is errors.GRAPH_MAX_VERTICES; --cap-nodes replaces
+    # it. Each count is checked before the graph is built, so the tree of
+    # 11,111,111 vertices is refused at once.
+    t0 = time.time()
+    got = cli.main(argv + ([] if cap is None else ["--cap-nodes", cap]))
+    elapsed = time.time() - t0
+    captured = capsys.readouterr()
+    assert got == code and elapsed < 0.5
+    if code == 3:
+        assert captured.out == ""
+        assert captured.err.startswith("error: gen: scale cap exceeded")
+        assert len(captured.err.splitlines()) == 1
+
+
 def test_gen_random_seed_flag(capsys):
     code1, out1 = run(capsys, "--seed", "5", "gen", "random", "--n", "10", "--p", "0.5")
     code2, out2 = run(capsys, "--seed", "5", "gen", "random", "--n", "10", "--p", "0.5")

@@ -16,6 +16,7 @@ from treerank.graph import (
     s_flip,
     s_flip_classes,
     subdivide,
+    tree_order,
     write_graph,
 )
 
@@ -132,8 +133,19 @@ class TestGenerators:
     @given(st.integers(0, 3), st.integers(1, 3))
     def test_tree_count_formula(self, d, m):
         g = gen_tree(d, m)
-        assert g.n == sum(m**i for i in range(d + 1))
+        assert g.n == sum(m**i for i in range(d + 1)) == tree_order(d, m, g.n)
         assert g.edge_count() == g.n - 1
+
+    def test_tree_order_stops_past_the_limit(self):
+        # Depth 10**9 is never summed out: the count stops one level past
+        # the limit (1 + 2 + ... + 512 = 1023 > 1000).
+        assert tree_order(10**9, 2, 1000) == 1023
+        assert tree_order(3, 10, 1110) == 1111
+        assert tree_order(10**9, 1, 5) == 10**9 + 1
+        with pytest.raises(ValueError):
+            tree_order(-1, 2, 5)
+        with pytest.raises(ValueError):
+            tree_order(2, 0, 5)
 
     def test_subdivide_tree(self):
         g = subdivide(gen_tree(1, 2), 1)

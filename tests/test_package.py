@@ -1,0 +1,114 @@
+"""The package's public names and the modules each entry point loads.
+
+`import treerank` loads its submodules on first use, and each CLI command
+imports only the library modules it calls, so a process compiles no more
+of the library than its command reaches.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import treerank
+from treerank.graph import gen_tree, write_graph
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# The names the package exported when `__init__` imported every submodule.
+PUBLIC = {
+    "errors": ["ScaleExceeded"],
+    "fo": ["Interpretation", "apply_interpretation", "check_range", "evaluate",
+           "format_formula", "parse_formula", "recovery_interpretation"],
+    "graph": ["Embedding", "Graph", "ParseError", "closed_ball", "flip", "gen_halfgraph",
+              "gen_random", "gen_tree", "induced", "make_graph", "parse_graph", "s_flip",
+              "s_flip_classes", "subdivide", "write_graph"],
+    "labd": ["ClassSpec", "ParamFunction", "labd_check", "near_covered_check",
+             "no_ladder_bound", "parse_param_function"],
+    "neartwin": ["HalfgraphWitness", "extract_halfgraph", "find_halfgraph", "g_bound",
+                 "h_bound", "neartwin_graph", "neartwin_view", "symdiff", "validate_halfgraph"],
+    "ranking": ["RankAssignment", "compute_ranking", "rank_order", "separator_search"],
+    "shallow": ["contains_shallow_tree", "extract_shallow_tree", "m_prime",
+                "validate_embedding", "w_count"],
+    "sparsify": ["SparsifiedGraph", "build_sparsifier", "classify_heavy",
+                 "component_partition", "recover", "recover_graph", "sflip_driver"],
+}
+NAMES = sorted(name for names in PUBLIC.values() for name in names)
+
+# Prints the sorted treerank modules a snippet leaves loaded, as JSON.
+_REPORT = "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'treerank')))"
+
+
+def loaded_after(code: str) -> list[str]:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-c", f"import json, sys\n{code}\n{_REPORT}"],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def test_all_lists_the_eager_exports():
+    assert len(NAMES) == 54
+    assert sorted(treerank.__all__) == NAMES
+
+
+def test_each_name_is_the_submodule_object():
+    wrong = [
+        (module, name) for module, names in PUBLIC.items() for name in names
+        if getattr(treerank, name) is not getattr(importlib.import_module(f"treerank.{module}"), name)
+    ]
+    assert wrong == []
+
+
+def test_star_import_and_dir_list_every_name():
+    namespace: dict = {}
+    exec("from treerank import *", namespace)
+    assert {n for n in namespace if not n.startswith("__")} == set(NAMES)
+    assert set(NAMES) <= set(dir(treerank))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        treerank.no_such_name
+    assert not hasattr(treerank, "no_such_name")
+
+
+_BASE = ["treerank", "treerank.errors", "treerank.graph"]
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["rank", "--r", "1", "--m", "1"], ["treerank.ranking"]),
+    (["sparsify", "--k", "1", "--h", "1"], ["treerank.neartwin", "treerank.sparsify"]),
+    (["recover"], ["treerank.neartwin", "treerank.sparsify"]),
+    (["neartwin", "--k", "1"], ["treerank.neartwin"]),
+    (["gen", "tree", "--depth", "1", "--branch", "2"], []),
+])
+def test_cli_command_loads_only_what_it_calls(tmp_path, argv, extra):
+    # The command runs as `python -m treerank.cli` does (as __main__, so
+    # treerank.cli itself is not listed) and must exit 0.
+    src = tmp_path / "tiny.graph"
+    src.write_text(write_graph(gen_tree(2, 2)))
+    args = ["--input", str(src), "--quiet", *argv]
+    code = (
+        "import runpy\n"
+        f"sys.argv = ['treerank', *{args!r}]\n"
+        "try:\n"
+        "    runpy.run_module('treerank.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as e:\n"
+        "    assert e.code == 0, e.code"
+    )
+    assert loaded_after(code) == sorted(_BASE + extra)
+
+
+@pytest.mark.parametrize("code, expected", [
+    ("import treerank", ["treerank", "treerank.errors"]),
+    ("import treerank.fo", ["treerank", "treerank.errors", "treerank.fo", "treerank.graph"]),
+    ("import treerank\ntreerank.parse_graph('p 1 0')", ["treerank", "treerank.errors", "treerank.graph"]),
+])
+def test_import_loads_only_what_it_names(code, expected):
+    assert loaded_after(code) == expected
