@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import GRAPH_MAX_VERTICES, ScaleExceeded
+from .errors import GRAPH_MAX_PAIRS, GRAPH_MAX_VERTICES, ScaleExceeded
 from .graph import (
     Graph,
     ParseError,
@@ -171,15 +171,18 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
 
-def _check_order(n: int, cap: int) -> None:
+def _check_order(n: int, cap: int, pairs: int = 0) -> None:
     if n > cap:
         raise ScaleExceeded("gen", f"output would have more than {cap} vertices")
+    if pairs > GRAPH_MAX_PAIRS:
+        raise ScaleExceeded("gen", f"{pairs} vertex pairs to build or scan, over {GRAPH_MAX_PAIRS}")
 
 
 def _cmd_gen(args) -> int:
     # The output's vertex count is checked before anything is built: a
     # tree grows by the branching per level, and subdividing each edge R
-    # times adds R vertices per edge.
+    # times adds R vertices per edge.  Half-graph edges and the pairs gen
+    # random scans grow as the square of the order.
     cap = GRAPH_MAX_VERTICES if args.cap_nodes is None else args.cap_nodes
     if args.family == "tree":
         if args.depth is None or args.branch is None:
@@ -190,10 +193,13 @@ def _cmd_gen(args) -> int:
     elif args.family == "halfgraph":
         if args.order is None:
             raise ValueError("gen halfgraph needs --order")
-        g = gen_halfgraph(args.order)
+        t = args.order
+        _check_order(2 * t, cap, max(t, 0) * (t + 1) // 2)
+        g = gen_halfgraph(t)
     else:
         if args.n is None or args.p is None:
             raise ValueError("gen random needs --n and --p")
+        _check_order(args.n, cap, max(args.n, 0) * (args.n - 1) // 2)
         g = gen_random(args.n, args.p, args.seed)
     if args.subdivide is not None:
         _check_order(g.n + args.subdivide * g.edge_count(), cap)

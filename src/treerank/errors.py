@@ -10,6 +10,11 @@ BOUND_MAX_BITS = 2**20
 # graph at the cap costs about 5 s and 1 GB.
 GRAPH_MAX_VERTICES = 1_000_000
 
+# Cap on the half-graph edges and gen random pairs `treerank gen` builds
+# or scans: 500,500 edges took 0.9 s and 180 MB peak RSS, and 8 M pairs
+# 1.1 s, on the same VM, so a half-graph at the cap costs about 5 s and 0.9 GB.
+GRAPH_MAX_PAIRS = 2_500_000
+
 
 class ScaleExceeded(RuntimeError):
     """A search or a generated graph ran past its configured desk-scale cap.

@@ -118,13 +118,29 @@ def parse_graph(text: str) -> Graph:
     header_line = 0
     edges: set[tuple[int, int]] = set()
     preds: dict[str, set[int]] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         fields = line.split()
+        if not fields:
+            continue
         tag = fields[0]
-        if tag == "p":
+        if tag == "e" and n is not None:
+            if len(fields) != 3:
+                raise ParseError(line_no, "edge must be 'e <u> <v>'")
+            try:
+                u, v = int(fields[1]), int(fields[2])
+            except ValueError:
+                raise ParseError(line_no, "edge endpoints must be integers") from None
+            if u == v:
+                raise ParseError(line_no, f"self-loop at vertex {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ParseError(line_no, f"vertex id out of range in edge ({u},{v})")
+            key = (u, v) if u < v else (v, u)
+            if key in edges:
+                raise ParseError(line_no, f"duplicate edge ({key[0]},{key[1]})")
+            edges.add(key)
+        elif tag == "p":
             if n is not None:
                 raise ParseError(line_no, "duplicate header")
             if len(fields) != 3:
@@ -136,24 +152,8 @@ def parse_graph(text: str) -> Graph:
             if n < 0 or declared_m < 0:
                 raise ParseError(line_no, "header counts must be nonnegative")
             header_line = line_no
-            continue
-        if n is None:
+        elif n is None:
             raise ParseError(line_no, "missing 'p' header before data line")
-        if tag == "e":
-            if len(fields) != 3:
-                raise ParseError(line_no, "edge must be 'e <u> <v>'")
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise ParseError(line_no, "edge endpoints must be integers") from None
-            if u == v:
-                raise ParseError(line_no, f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParseError(line_no, f"vertex id out of range in edge ({u},{v})")
-            key = (min(u, v), max(u, v))
-            if key in edges:
-                raise ParseError(line_no, f"duplicate edge ({key[0]},{key[1]})")
-            edges.add(key)
         elif tag == "l":
             if len(fields) < 2:
                 raise ParseError(line_no, "predicate must be 'l <name> <v1> ...'")

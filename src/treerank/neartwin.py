@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import BOUND_MAX_BITS, ScaleExceeded
 from .graph import Graph, make_graph, shortest_path
@@ -47,14 +47,36 @@ def neartwin_view(g: Graph, k: int) -> NearTwinView:
 def neartwin_graph(g: Graph, k: int) -> Graph:
     """NT_k(G) by an all-pairs scan; pairs whose degrees differ by more
     than k are skipped unread.  Edgeless when k < 0."""
-    degs = [g.degree(v) for v in range(g.n)]
+    degs = [len(row) for row in g.adj]
+    near = _near_test(g, k)
     edges = [
         (u, v)
         for u in range(g.n)
         for v in range(u + 1, g.n)
-        if abs(degs[u] - degs[v]) <= k and len(g.adj[u] ^ g.adj[v]) <= k
+        if abs(degs[u] - degs[v]) <= k and near(u, v)
     ]
     return make_graph(g.n, edges)
+
+
+def _near_test(g: Graph, k: int) -> Callable[[int, int], bool]:
+    """The NT_k pair test len(adj[u] ^ adj[v]) <= k.  A row of degree
+    >= n/64 also gets an n-bit int (digit w for vertex w), no larger than
+    its frozenset (8+ bytes per element), and two such rows are compared
+    by the popcount of their xor."""
+    bits: list[Optional[int]] = [None] * g.n
+    for v, row in enumerate(g.adj):
+        if 64 * len(row) >= g.n:
+            digits = bytearray(b"0") * g.n
+            for w in row:
+                digits[w] = 49  # ord("1")
+            bits[v] = int(digits, 2)
+
+    def near(u: int, v: int) -> bool:
+        if bits[u] is None or bits[v] is None:
+            return len(g.adj[u] ^ g.adj[v]) <= k
+        return (bits[u] ^ bits[v]).bit_count() <= k
+
+    return near
 
 
 @dataclass(frozen=True)
@@ -71,15 +93,17 @@ class PartPartition:
 def component_partition(g: Graph, k: int) -> PartPartition:
     """NT_k components without materializing the near-twin graph.
 
-    A k-near-twin v of u misses at most k of u's neighbors, so it is
-    adjacent to one of any k+1 of them: u's candidates are the neighbors
-    of k+1 of its neighbors (of all of them when deg(u) <= k).  Pairs
-    with no common neighbor are united through the pool of low-degree
-    vertices.  A candidate pair is tested only while its endpoints lie in
-    different sets of the disjoint-set forest.
+    Two rows differ in at most deg(u) + deg(v) elements, so the vertices
+    v with deg(v) + (least degree) <= k are near-twins of a least-degree
+    vertex; this pool holds every near-twin pair with no common neighbor
+    and is united first.  Any other near-twin of u misses at
+    most k of u's neighbors, so u's candidates are the neighbors of any
+    k+1 of them.  A candidate pair is tested only while the disjoint-set
+    forest separates it, and a union keeps u's root.
     """
     if k < 0:
         raise ValueError("threshold must be nonnegative")
+    degs = [len(row) for row in g.adj]
     parent = list(range(g.n))
 
     def find(x: int) -> int:
@@ -88,29 +112,19 @@ def component_partition(g: Graph, k: int) -> PartPartition:
             x = parent[x]
         return x
 
-    def union(a: int, b: int) -> None:
-        parent[find(b)] = find(a)
+    low = min(degs, default=0)
+    pool = [v for v in range(g.n) if degs[v] + low <= k]
+    for v in pool:
+        parent[v] = pool[0]
 
-    degs = [g.degree(v) for v in range(g.n)]
+    near = _near_test(g, k)
     for u in range(g.n):
-        row, du = g.adj[u], degs[u]
-        for v in frozenset().union(*(g.adj[w] for w in islice(row, k + 1))):
-            if v > u and abs(du - degs[v]) <= k and find(u) != find(v):
-                if len(row ^ g.adj[v]) <= k:
-                    union(u, v)
-
-    # Pairs with no common neighbor differ in exactly deg(u) + deg(v)
-    # elements.  All vertices of degree <= k/2 are pairwise near-twins;
-    # a vertex of larger degree joins them iff some pooled vertex has
-    # degree <= k - deg(v).
-    core = [v for v in range(g.n) if 2 * degs[v] <= k]
-    for a, b in zip(core, core[1:]):
-        union(a, b)
-    if core:
-        core_min_by_deg = min(core, key=lambda v: degs[v])
-        for v in range(g.n):
-            if 2 * degs[v] > k and degs[v] + degs[core_min_by_deg] <= k:
-                union(v, core_min_by_deg)
+        lo, hi, ru = degs[u] - k, degs[u] + k, find(u)
+        for v in frozenset().union(*(g.adj[w] for w in islice(g.adj[u], k + 1))):
+            if v > u and lo <= degs[v] <= hi:
+                rv = find(v)
+                if rv != ru and near(u, v):
+                    parent[rv] = ru
 
     groups: dict[int, list[int]] = {}
     for v in range(g.n):

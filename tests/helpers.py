@@ -103,6 +103,18 @@ def seeded_dense_graphs(count: int, max_n: int, seed: int) -> list[Graph]:
 FLIP_PATTERN = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 3), (2, 3), (3, 3))
 
 
+def sparse_graph(n: int, m: int, seed: int) -> Graph:
+    """m distinct random edges on n vertices: G(n, m), drawn in O(m)
+    steps where gen_random's pair scan takes O(n^2)."""
+    rng = random.Random(seed)
+    edges: set[tuple[int, int]] = set()
+    while len(edges) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return make_graph(n, edges)
+
+
 def flipped_blocks(n: int, seed: int) -> tuple[Graph, Graph]:
     """A G(n, 3/n) base under FLIP_PATTERN over four random blocks of
     n // 4 vertices, which complements most vertex pairs.

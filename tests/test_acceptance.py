@@ -407,11 +407,12 @@ def test_criterion_12_sparsifier_output_has_tree_rank_two():
     """The sparsifier maps a flip of a bounded-degree graph to H with
     G = I(H) and max rank <= 2, for parameters fixed by the base degree D.
 
-    Inputs: the four-block flip pattern and complements of G(n, 3/n) up
-    to n = 800, each of degree about n/2.  With k = 2D+2 every flipped
-    block is one near-twin component, and h = ceil(D/2) keeps the sparse
-    background light, so H is the base plus one apex per flipped block.  The dense
-    inputs themselves have max rank infinity at the same (r, m).
+    Inputs: the four-block flip pattern up to n = 1600 and complements
+    of G(n, 3/n) up to n = 800, each of degree about n/2.  With k = 2D+2
+    every flipped block is one near-twin component, and h = ceil(D/2)
+    keeps the sparse background light, so H is the base plus one apex
+    per flipped block.  The dense inputs themselves have max rank
+    infinity at the same (r, m).
 
     The rank is checked directly, not by extracting a shallow tree:
     extraction needs the ranking at m_prime(2, 1, D+1), which is 188 at
@@ -420,8 +421,8 @@ def test_criterion_12_sparsifier_output_has_tree_rank_two():
     """
     t0 = time.time()
     cases = []
-    for n in (200, 400):
-        for seed in (1, 2, 3):
+    for n, seeds in ((200, (1, 2, 3)), (400, (1, 2, 3)), (800, (1, 2)), (1600, (1,))):
+        for seed in seeds:
             cases.append(("blocks", n, seed, *flipped_blocks(n, seed)))
     for n, seeds in ((200, (1, 2)), (400, (1, 2)), (800, (1,))):
         for seed in seeds:
@@ -448,6 +449,6 @@ def test_criterion_12_sparsifier_output_has_tree_rank_two():
     assert elapsed < 60
     _report(
         12,
-        f"{len(cases)} flipped inputs n<=800: recovery exact, non-apex degree <= D+1, "
+        f"{len(cases)} flipped inputs n<=1600: recovery exact, non-apex degree <= D+1, "
         f"rank <= 2 at r=1..3 (dense inputs: inf) in {elapsed:.1f}s",
     )

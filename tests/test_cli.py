@@ -54,11 +54,21 @@ def test_gen_with_subdivision_and_output_file(capsys, tmp_path):
     (["gen", "halfgraph", "--order", "3", "--subdivide", "1000000"], None, 3),
     (["gen", "halfgraph", "--order", "3", "--subdivide", "2"], "18", 0),
     (["gen", "halfgraph", "--order", "3", "--subdivide", "2"], "17", 3),
+    (["gen", "halfgraph", "--order", "7"], "13", 3),
+    (["gen", "halfgraph", "--order", "6"], "12", 0),
+    (["gen", "halfgraph", "--order", "2236"], None, 3),
+    (["gen", "halfgraph", "--order", "100000"], None, 3),
+    (["gen", "random", "--n", "13", "--p", "0.5"], "12", 3),
+    (["gen", "random", "--n", "12", "--p", "0.5"], "12", 0),
+    (["gen", "random", "--n", "2237", "--p", "0"], None, 3),
+    (["gen", "random", "--n", "100000", "--p", "0"], None, 3),
 ])
 def test_gen_output_size_is_capped_before_building(capsys, argv, cap, code):
     # The default cap is errors.GRAPH_MAX_VERTICES; --cap-nodes replaces
     # it. Each count is checked before the graph is built, so the tree of
-    # 11,111,111 vertices is refused at once.
+    # 11,111,111 vertices is refused at once.  A half-graph's edges and
+    # gen random's pair scan stop at errors.GRAPH_MAX_PAIRS: order 2236
+    # has 2,500,966 edges and n = 2237 has 2,500,966 pairs.
     t0 = time.time()
     got = cli.main(argv + ([] if cap is None else ["--cap-nodes", cap]))
     elapsed = time.time() - t0

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -30,11 +31,13 @@ from helpers import (
     disjoint_union,
     light_parts,
     nt_components_allpairs,
+    nt_edges_allpairs,
     pair_density,
     path_graph,
     recover_graph_pairwise,
     seeded_dense_graphs,
     seeded_random_graphs,
+    sparse_graph,
     star,
     validate_sparsified,
 )
@@ -51,6 +54,28 @@ def blowup(base, size: int, drop_matching: bool = False):
                     continue
                 edges.append((u * size + i, v * size + j))
     return make_graph(base.n * size, edges)
+
+
+def mixed_degree_graph(n: int, seed: int):
+    """Chung-Lu graph with expected degrees 0..12, then a quarter of the
+    vertices rewired to copy another vertex's row, up to two toggles."""
+    rng = random.Random(seed)
+    weight = [rng.randint(0, 12) for _ in range(n)]
+    total = sum(weight)
+    adj = [set() for _ in range(n)]
+    for u, v in combinations(range(n), 2):
+        if rng.random() < weight[u] * weight[v] / total:
+            adj[u].add(v)
+            adj[v].add(u)
+    for v in rng.sample(range(n), n // 4):
+        row = adj[rng.randrange(n)] ^ set(rng.sample(range(n), rng.randint(0, 2)))
+        row.discard(v)
+        for w in adj[v] - row:
+            adj[w].discard(v)
+        for w in row - adj[v]:
+            adj[w].add(v)
+        adj[v] = row
+    return make_graph(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
 
 
 class TestComponentPartition:
@@ -87,6 +112,36 @@ class TestComponentPartition:
         for i, g in enumerate(sparse + dense):
             k = i % 13
             assert component_partition(g, k).parts == nt_components_allpairs(g, k), (i, k)
+
+    def test_rows_on_both_sides_of_the_dense_threshold(self):
+        # Rows of degree >= n/64 are compared by popcount, the others by
+        # set xor; at n = 256 the threshold is degree 4, and the planted
+        # near-twins pair rows on either side of it.
+        n = 256
+        for seed in (83, 89):
+            g = mixed_degree_graph(n, seed)
+            degs = [g.degree(v) for v in range(n)]
+            assert min(degs) < n / 64 <= max(degs)
+            for k in range(13):
+                assert component_partition(g, k).parts == nt_components_allpairs(g, k), (seed, k)
+            crossing = [
+                (u, v) for u, row in enumerate(nt_edges_allpairs(g, 4)) for v in row
+                if (64 * degs[u] >= n) != (64 * degs[v] >= n)
+            ]
+            assert crossing, seed
+
+    def test_peak_memory_on_a_large_sparse_graph(self):
+        # A sparse row gets no n-bit int: one int per row would take
+        # 20,000 * 20,000 bits, about 50 MB, at n = 20,000.
+        g = sparse_graph(20_000, 30_000, 3)
+        for k in (0, 6):
+            tracemalloc.start()
+            try:
+                component_partition(g, k)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 10_000_000, (k, peak)
 
     def test_low_degree_pooling(self):
         g = disjoint_union(make_graph(3), path_graph(2), star(1))
