@@ -2,7 +2,10 @@
 
 Every subcommand is a thin adapter over one library operation; verdicts
 are reflected in the exit status and certificates are printed in a
-machine-readable line format.
+machine-readable line format.  A command takes the parsed arguments and
+the input graph (None for `gen`, `bounds` and `corpus`, which read
+none) and returns (text, exit status); `main` alone reads the input
+and writes the text, and None text writes nothing.
 
 Exit statuses: 0 success / true verdict, 1 false verdict (certificate
 emitted), 2 usage or input error, 3 scale-cap abort.
@@ -62,12 +65,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_global_flags(common, suppress=True)
     sub = top.add_subparsers(dest="cmd", required=True, parser_class=lambda **kw: argparse.ArgumentParser(parents=[common], **kw))
 
-    def add(name: str, func, **kw) -> argparse.ArgumentParser:
+    def add(name: str, func, reads_graph: bool = True, **kw) -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kw)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, reads_graph=reads_graph)
         return p
 
-    p = add("gen", _cmd_gen, help="generate a graph")
+    p = add("gen", _cmd_gen, reads_graph=False, help="generate a graph")
     p.add_argument("family", choices=["tree", "halfgraph", "random"])
     p.add_argument("--depth", type=int)
     p.add_argument("--branch", type=int)
@@ -96,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("halfgraph", _cmd_halfgraph, help="semi-induced half-graph search")
     p.add_argument("--t", type=int, required=True)
 
-    p = add("bounds", _cmd_bounds, help="bound arithmetic")
+    p = add("bounds", _cmd_bounds, reads_graph=False, help="bound arithmetic")
     for flag, form, *_ in _BOUNDS:
         p.add_argument(f"--{flag}", metavar=form)
 
@@ -128,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True, help="verifier parameter function spec")
     p.add_argument("--d", required=True, help="verifier parameter function spec")
 
-    p = add("corpus", _cmd_corpus, help="write a deterministic graph corpus")
+    p = add("corpus", _cmd_corpus, reads_graph=False, help="write a deterministic graph corpus")
     p.add_argument("--family", required=True,
                    choices=["trees", "random", "halfgraph", "mixed"])
     p.add_argument("--out", required=True, help="output directory")
@@ -162,7 +165,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        text, status = args.func(args, _read_graph(args) if args.reads_graph else None)
+        if text is not None:
+            _emit(args, text)
+        return status
     except ScaleExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SCALE
@@ -178,7 +184,7 @@ def _check_order(n: int, cap: int, pairs: int = 0) -> None:
         raise ScaleExceeded("gen", f"{pairs} vertex pairs to build or scan, over {GRAPH_MAX_PAIRS}")
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args, _: None) -> tuple[str, int]:
     # The output's vertex count is checked before anything is built: a
     # tree grows by the branching per level, and subdividing each edge R
     # times adds R vertices per edge.  Half-graph edges and the pairs gen
@@ -204,14 +210,12 @@ def _cmd_gen(args) -> int:
     if args.subdivide is not None:
         _check_order(g.n + args.subdivide * g.edge_count(), cap)
         g = subdivide(g, args.subdivide)
-    _emit(args, write_graph(g))
-    return EXIT_OK
+    return write_graph(g), EXIT_OK
 
 
-def _cmd_rank(args) -> int:
+def _cmd_rank(args, g: Graph) -> tuple[str, int]:
     from . import ranking
 
-    g = _read_graph(args)
     ra = ranking.compute_ranking(g, args.r, args.m)
     lines = [f"{v} {'inf' if x == ranking.INF else int(x)}" for v, x in enumerate(ra.ranks)]
     if args.witness:
@@ -219,21 +223,12 @@ def _cmd_rank(args) -> int:
             if v in ra.witnesses:
                 members = " ".join(str(u) for u in sorted(ra.witnesses[v]))
                 lines.append(f"w {v} {members}".rstrip())
-    _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
-def _embedding_lines(emb) -> list[str]:
-    lines = [f"principal {node} {gv}" for node, gv in sorted(emb.principal.items())]
-    for (p, c), path in sorted(emb.paths.items()):
-        lines.append(f"path {p}-{c} " + " ".join(str(v) for v in path))
-    return lines
-
-
-def _cmd_certify(args) -> int:
+def _cmd_certify(args, g: Graph) -> tuple[str, int]:
     from . import ranking, shallow
 
-    g = _read_graph(args)
     if args.extract:
         if args.vertex is None:
             raise ValueError("--extract needs --vertex")
@@ -242,22 +237,21 @@ def _cmd_certify(args) -> int:
         mp = shallow.m_prime(args.d, args.r, args.m)
         ra = ranking.compute_ranking(g, args.r, mp)
         emb = shallow.extract_shallow_tree(g, ra, args.vertex, args.d, args.m, args.r)
-        _emit(args, "\n".join(_embedding_lines(emb)) + "\n")
-        return EXIT_OK
-    emb = shallow.contains_shallow_tree(
-        g, args.d, args.m, args.r, **_cap("cap_nodes", args.cap_nodes)
-    )
-    if emb is None:
-        _emit(args, "absent\n")
-        return EXIT_FALSE
-    _emit(args, "\n".join(_embedding_lines(emb)) + "\n")
-    return EXIT_OK
+    else:
+        emb = shallow.contains_shallow_tree(
+            g, args.d, args.m, args.r, **_cap("cap_nodes", args.cap_nodes)
+        )
+        if emb is None:
+            return "absent\n", EXIT_FALSE
+    lines = [f"principal {node} {gv}" for node, gv in sorted(emb.principal.items())]
+    for (p, c), path in sorted(emb.paths.items()):
+        lines.append(f"path {p}-{c} " + " ".join(str(v) for v in path))
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
-def _cmd_neartwin(args) -> int:
+def _cmd_neartwin(args, g: Graph) -> tuple[str, int]:
     from . import neartwin
 
-    g = _read_graph(args)
     if args.k < 0:
         raise ValueError("threshold must be nonnegative")
     if args.components:
@@ -267,22 +261,16 @@ def _cmd_neartwin(args) -> int:
         ]
     else:
         lines = [f"nt {u} {v}" for u, v in neartwin.neartwin_graph(g, args.k).edges()]
-    _emit(args, "\n".join(lines) + "\n" if lines else "")
-    return EXIT_OK
+    return ("\n".join(lines) + "\n" if lines else ""), EXIT_OK
 
 
-def _cmd_halfgraph(args) -> int:
+def _cmd_halfgraph(args, g: Graph) -> tuple[str, int]:
     from . import neartwin
 
-    g = _read_graph(args)
     wit = neartwin.find_halfgraph(g, args.t, **_cap("cap_nodes", args.cap_nodes))
     if wit is None:
-        _emit(args, "absent\n")
-        return EXIT_FALSE
-    u_line = "u " + " ".join(str(v) for v in wit.u)
-    w_line = "w " + " ".join(str(v) for v in wit.w)
-    _emit(args, u_line + "\n" + w_line + "\n")
-    return EXIT_OK
+        return "absent\n", EXIT_FALSE
+    return f"u {' '.join(map(str, wit.u))}\nw {' '.join(map(str, wit.w))}\n", EXIT_OK
 
 
 # bounds flag, its comma-separated form, and the module and name of the
@@ -295,7 +283,7 @@ _BOUNDS = (
 )
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args, _: None) -> tuple[str, int]:
     values = []
     for flag, form, module, name in _BOUNDS:
         spec = getattr(args, flag.replace("-", "_"))
@@ -317,8 +305,7 @@ def _cmd_bounds(args) -> int:
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
-    _emit(args, text)
-    return EXIT_OK
+    return text, EXIT_OK
 
 
 def _class_spec(args) -> labd.ClassSpec:
@@ -327,32 +314,26 @@ def _class_spec(args) -> labd.ClassSpec:
     return labd.ClassSpec(labd.parse_param_function(args.f), labd.parse_param_function(args.d))
 
 
-def _cmd_labd(args) -> int:
+def _cmd_labd(args, g: Graph) -> tuple[str, int]:
     from . import labd
 
-    g = _read_graph(args)
     res = labd.labd_check(g, _class_spec(args), r_max=args.r_max)
     if res.ok:
-        _emit(args, "ok\n")
-        return EXIT_OK
+        return "ok\n", EXIT_OK
     r, v, offenders = res.certificate
-    _emit(args, f"cert r {r} v {v} offending " + " ".join(map(str, offenders)) + "\n")
-    return EXIT_FALSE
+    return f"cert r {r} v {v} offending " + " ".join(map(str, offenders)) + "\n", EXIT_FALSE
 
 
-def _cmd_near_covered(args) -> int:
+def _cmd_near_covered(args, g: Graph) -> tuple[str, int]:
     from . import labd
 
-    g = _read_graph(args)
     res = labd.near_covered_check(
         g, args.k, args.m, exact=args.exact, **_cap("cap_nodes", args.cap_nodes)
     )
     mode = "exact" if res.exact else "greedy"
     if res.ok:
-        _emit(args, f"ok {mode}\n")
-        return EXIT_OK
-    _emit(args, f"cert {mode} " + " ".join(map(str, res.certificate)) + "\n")
-    return EXIT_FALSE
+        return f"ok {mode}\n", EXIT_OK
+    return f"cert {mode} " + " ".join(map(str, res.certificate)) + "\n", EXIT_FALSE
 
 
 def _provenance_lines(sg: sparsify.SparsifiedGraph) -> list[str]:
@@ -361,68 +342,54 @@ def _provenance_lines(sg: sparsify.SparsifiedGraph) -> list[str]:
     return lines
 
 
-def _cmd_sparsify(args) -> int:
+def _cmd_sparsify(args, g: Graph) -> tuple[str | None, int]:
     from . import sparsify
 
-    g = _read_graph(args)
     sg = sparsify.build_sparsifier(g, args.k, args.h)
     text = write_graph(sg.graph)
     out = args.out or args.output
-    if out:
-        Path(out).write_text(text)
-        prov = "\n".join(_provenance_lines(sg))
-        Path(out + ".prov").write_text(prov + "\n" if prov else "")
-    elif not args.quiet:
-        sys.stdout.write(text)
-        for line in _provenance_lines(sg):
-            sys.stdout.write("# " + line + "\n")
-    return EXIT_OK
+    if not out:
+        return text + "".join(f"# {line}\n" for line in _provenance_lines(sg)), EXIT_OK
+    Path(out).write_text(text)
+    prov = "\n".join(_provenance_lines(sg))
+    Path(out + ".prov").write_text(prov + "\n" if prov else "")
+    return None, EXIT_OK
 
 
-def _cmd_recover(args) -> int:
+def _cmd_recover(args, g: Graph) -> tuple[str | None, int]:
     from . import sparsify
 
-    g = _read_graph(args)
     try:
         out, _ = sparsify.recover_graph(g)
     except sparsify.RecoverError as e:
         print(f"recover aborted: {e}", file=sys.stderr)
-        return EXIT_FALSE
-    _emit(args, write_graph(out))
-    return EXIT_OK
+        return None, EXIT_FALSE
+    return write_graph(out), EXIT_OK
 
 
-def _cmd_roundtrip(args) -> int:
+def _cmd_roundtrip(args, g: Graph) -> tuple[str, int]:
     from . import sparsify
 
-    g = _read_graph(args)
-    sg = sparsify.build_sparsifier(g, args.k, args.h)
-    back = sparsify.recover(sg)
-    if back == g:
-        _emit(args, "roundtrip ok\n")
-        return EXIT_OK
-    _emit(args, "roundtrip FAILED\n")
-    return EXIT_FALSE
+    if sparsify.recover(sparsify.build_sparsifier(g, args.k, args.h)) == g:
+        return "roundtrip ok\n", EXIT_OK
+    return "roundtrip FAILED\n", EXIT_FALSE
 
 
-def _cmd_sflip(args) -> int:
+def _cmd_sflip(args, g: Graph) -> tuple[str, int]:
     from . import sparsify
 
-    g = _read_graph(args)
     res = sparsify.sflip_driver(
         g, args.s, args.k, args.h, _class_spec(args), **_cap("cap_candidates", args.cap_branch)
     )
     if res is None:
-        _emit(args, "absent\n")
-        return EXIT_FALSE
+        return "absent\n", EXIT_FALSE
     lines = ["S " + " ".join(map(str, res.s))]
     lines.extend(f"flip {i} {j}" for i, j in res.flip_spec)
     lines.append(write_graph(res.sparsified.graph).rstrip("\n"))
-    _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
-def _cmd_corpus(args) -> int:
+def _cmd_corpus(args, _: None) -> tuple[None, int]:
     import json
 
     out_dir = Path(args.out)
@@ -456,7 +423,7 @@ def _cmd_corpus(args) -> int:
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     if not args.quiet:
         print(f"wrote {len(entries)} graphs to {out_dir}")
-    return EXIT_OK
+    return None, EXIT_OK
 
 
 def entry() -> None:

@@ -462,9 +462,3 @@ class Embedding:
 
     principal: Mapping[int, int]
     paths: Mapping[tuple[int, int], tuple[int, ...]]
-
-    def vertices(self) -> frozenset[int]:
-        vs = set(self.principal.values())
-        for p in self.paths.values():
-            vs.update(p)
-        return frozenset(vs)

@@ -182,37 +182,27 @@ def near_covered_check(
     if k < 0 or m < 0:
         raise ValueError("need k >= 0 and m >= 0")
     nt_adj = neartwin_graph(g, k).adj
+    n = g.n
+    chosen: list[int] = []
     if not exact:
-        chosen: list[int] = []
-        for v in range(g.n):
+        for v in range(n):
             if all(u not in nt_adj[v] for u in chosen):
                 chosen.append(v)
         if len(chosen) > m:
             return NearCoveredResult(False, False, tuple(chosen[: m + 1]))
         return NearCoveredResult(True, False)
-    found = _independent_set_of_size(nt_adj, m + 1, cap_nodes)
-    if found is not None:
-        return NearCoveredResult(False, True, tuple(sorted(found)))
-    return NearCoveredResult(True, True)
-
-
-def _independent_set_of_size(
-    nt_adj: list[frozenset[int]],
-    target: int,
-    cap_nodes: int,
-) -> Optional[list[int]]:
-    """Find `target` pairwise non-adjacent vertices, or prove none exist."""
-    n = len(nt_adj)
-    budget = [cap_nodes]
-    chosen: list[int] = []
+    # Exact: backtrack over vertex ids for m+1 pairwise non-adjacent
+    # vertices of NT_k; each call of grow is one node of the search.
+    budget = cap_nodes
 
     def grow(start: int) -> bool:
-        budget[0] -= 1
-        if budget[0] < 0:
+        nonlocal budget
+        budget -= 1
+        if budget < 0:
             raise ScaleExceeded("near_covered_check", "node cap")
-        if len(chosen) == target:
+        if len(chosen) == m + 1:
             return True
-        if len(chosen) + (n - start) < target:
+        if len(chosen) + (n - start) < m + 1:
             return False
         for v in range(start, n):
             if any(v in nt_adj[u] for u in chosen):
@@ -224,8 +214,8 @@ def _independent_set_of_size(
         return False
 
     if grow(0):
-        return list(chosen)
-    return None
+        return NearCoveredResult(False, True, tuple(chosen))
+    return NearCoveredResult(True, True)
 
 
 def no_ladder_bound(k2: int, m2: int) -> int:

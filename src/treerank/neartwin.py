@@ -99,7 +99,8 @@ def component_partition(g: Graph, k: int) -> PartPartition:
     and is united first.  Any other near-twin of u misses at
     most k of u's neighbors, so u's candidates are the neighbors of any
     k+1 of them.  A candidate pair is tested only while the disjoint-set
-    forest separates it, and a union keeps u's root.
+    forest separates it, and a union keeps u's root.  The forest counts
+    its trees, and the scan stops once one is left.
     """
     if k < 0:
         raise ValueError("threshold must be nonnegative")
@@ -116,15 +117,19 @@ def component_partition(g: Graph, k: int) -> PartPartition:
     pool = [v for v in range(g.n) if degs[v] + low <= k]
     for v in pool:
         parent[v] = pool[0]
+    trees = g.n - max(len(pool) - 1, 0)
 
     near = _near_test(g, k)
     for u in range(g.n):
+        if trees <= 1:
+            break
         lo, hi, ru = degs[u] - k, degs[u] + k, find(u)
         for v in frozenset().union(*(g.adj[w] for w in islice(g.adj[u], k + 1))):
             if v > u and lo <= degs[v] <= hi:
                 rv = find(v)
                 if rv != ru and near(u, v):
                     parent[rv] = ru
+                    trees -= 1
 
     groups: dict[int, list[int]] = {}
     for v in range(g.n):
@@ -162,10 +167,6 @@ class HalfgraphWitness:
 
     u: tuple[int, ...]
     w: tuple[int, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.u)
 
 
 def validate_halfgraph(g: Graph, wit: HalfgraphWitness) -> None:

@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .errors import BOUND_MAX_BITS, ScaleExceeded
-from .graph import Embedding, Graph, tree_children, tree_order
+from .graph import Embedding, Graph, shortest_path, tree_children, tree_order, within_distance
 from .ranking import RankAssignment, compute_ranking
 
 
@@ -238,13 +238,18 @@ def _extract(g: Graph, v: int, d: int, m: int, r: int, cache: dict[int, RankAssi
     big_m = _inflated(d, m, r)
     # Greedy disjoint short paths from v to rank >= d vertices: at most
     # r*(m-1) vertices are ever blocked, within the separator budget, so
-    # the ranking guarantees the next target is reachable.
+    # the ranking guarantees the next target is reachable.  Each path
+    # ends at the smallest-id target on the first level that holds one.
+    targets = {w for w in range(g.n) if ra.ranks[w] >= d}
     paths: list[tuple[int, ...]] = []
     blocked: set[int] = set()
     for _ in range(m):
-        path = _bfs_to_rank(g, v, d, r, blocked, ra)
-        if path is None:
+        first = shortest_path(g, v, targets, r, blocked)
+        if first is None:
             raise RuntimeError(f"no rank-{d} target reachable from {v}")
+        level = len(first) - 1
+        ring = within_distance(g, [v], level, blocked) - within_distance(g, [v], level - 1, blocked)
+        path = tuple(shortest_path(g, v, {min(ring & targets)}, level, blocked))
         paths.append(path)
         blocked.update(path[1:])
 
@@ -259,42 +264,6 @@ def _extract(g: Graph, v: int, d: int, m: int, r: int, cache: dict[int, RankAssi
         out.append((path, pruned))
         forbidden |= _temb_vertices(pruned)
     return (v, out)
-
-
-def _bfs_to_rank(
-    g: Graph,
-    v: int,
-    d: int,
-    r: int,
-    blocked: set[int],
-    ra: RankAssignment,
-) -> Optional[tuple[int, ...]]:
-    """Shortest path (<= r edges) from v to a rank >= d vertex, avoiding
-    blocked vertices; smallest-id target at the first reachable level."""
-    parent = {v: -1}
-    frontier = [v]
-    for _ in range(r):
-        nxt = []
-        hits = []
-        for u in frontier:
-            for w in g.sorted_neighbors(u):
-                if w in parent or w in blocked:
-                    continue
-                parent[w] = u
-                nxt.append(w)
-                if ra.ranks[w] >= d:
-                    hits.append(w)
-        if hits:
-            t = min(hits)
-            path = [t]
-            while path[-1] != v:
-                path.append(parent[path[-1]])
-            path.reverse()
-            return tuple(path)
-        if not nxt:
-            return None
-        frontier = nxt
-    return None
 
 
 def _temb_vertices(temb: TreeEmb) -> set[int]:

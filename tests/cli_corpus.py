@@ -8,10 +8,11 @@ over all cases.  Two checkouts that print the same digests give byte-identical
 CLI output on the corpus.  Everything is written to a temporary
 directory, whose path is replaced by `<tmp>` before hashing.
 
-    PYTHONPATH=src python3 tests/cli_corpus.py [--cases] [--exclude NAME ...]
+    PYTHONPATH=src python3 tests/cli_corpus.py [--cases] [--exclude NAME ...] [--expect HEX]
 
-`--cases` also prints each case's name, exit status and digest prefix,
-so two runs can be diffed case by case.  `--exclude` skips the cases,
+`--expect` exits 1 when the total differs from HEX.  `--cases` also
+prints each case's name, exit status and digest prefix, so two runs
+can be diffed case by case.  `--exclude` skips the cases,
 or the kinds of cases, it names (they are not run), for comparing
 checkouts whose behaviour differs on purpose there.  The kinds
 `certify-oversize` (a tree pattern with more nodes than the graph has
@@ -130,6 +131,14 @@ def cases(texts: dict[str, str]) -> list[tuple[str, list[str]]]:
         add(f"certify/{g}/extract2", "certify", "--d", "2", "--m", "1", "--r", "1",
             "--extract", "--vertex", "0")
         add(f"certify/{g}/extract-novertex", "certify", "--d", "1", "--m", "2", "--r", "1", "--extract")
+    # Depth-2 extractions that search for rank-d targets along paths of
+    # more than one edge or into more than one branch.  At these
+    # parameters cosparse30 (both), rand02, rand07 and rand18 (2,1,2)
+    # have vertices of rank above d; the others exercise the refusal.
+    for g in SMALL + MID:
+        for d, m, r in ((2, 2, 1), (2, 1, 2)):
+            add(f"certify/{g}/extract{d},{m},{r}", "certify", "--d", str(d), "--m", str(m),
+                "--r", str(r), "--extract", "--vertex", "0")
 
     for g in SMALL[:12] + ["half3", "tree22"] + BAD:
         for s, k, h in ((0, 1, 1), (1, 0, 1), (1, 1, 1)):
@@ -189,7 +198,8 @@ def _kind(name: str) -> str:
     return name.split("/", 1)[0]
 
 
-def run(exclude: frozenset[str], show_cases: bool) -> None:
+def run(exclude: frozenset[str], show_cases: bool) -> str:
+    """Print the digests and return the total's hex digest."""
     texts = graphs()
     per_kind: dict = {}
     total = hashlib.sha256()
@@ -224,6 +234,7 @@ def run(exclude: frozenset[str], show_cases: bool) -> None:
     for kind in sorted(per_kind):
         print(f"{kind} {per_kind[kind].hexdigest()}")
     print(f"total {total.hexdigest()}")
+    return total.hexdigest()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -231,8 +242,12 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--cases", action="store_true", help="print each case's digest too")
     p.add_argument("--exclude", action="append", default=[], metavar="NAME",
                    help="skip the case or the kind of cases with this name (repeatable)")
+    p.add_argument("--expect", metavar="HEX", help="exit 1 unless the total equals HEX")
     args = p.parse_args(argv)
-    run(frozenset(args.exclude), args.cases)
+    total = run(frozenset(args.exclude), args.cases)
+    if args.expect is not None and total != args.expect:
+        print(f"total differs from the expected {args.expect}", file=sys.stderr)
+        return 1
     return 0
 
 

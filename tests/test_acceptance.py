@@ -18,6 +18,7 @@ from treerank.graph import (
     gen_random,
     gen_tree,
     make_graph,
+    shortest_path,
     subdivide,
 )
 from treerank.labd import no_ladder_bound
@@ -439,9 +440,12 @@ def test_criterion_12_sparsifier_output_has_tree_rank_two():
         for r in (1, 2, 3):
             ranks = compute_ranking(sg.graph, r, m).ranks
             v = next((v for v, x in enumerate(ranks) if x > 2), None)
+            # On failure, also print the path from v to another vertex
+            # of rank above 2 that the separator search could not cut.
             assert v is None, (
                 f"{kind} n={n} seed={seed} r={r}: vertex {v} has rank {ranks[v]} "
-                f"and degree {sg.graph.degree(v)}"
+                f"and degree {sg.graph.degree(v)}; path to another vertex of rank > 2: "
+                f"{shortest_path(sg.graph, v, {u for u, x in enumerate(ranks) if x > 2} - {v}, r)}"
             )
         if n == 200:
             assert compute_ranking(g, 1, m).max_rank() == INF, (kind, n, seed)
