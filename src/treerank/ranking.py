@@ -14,9 +14,21 @@ other vertex would fail again exactly as it did before (semi-naive
 evaluation of the fixed point).
 
 The per-vertex check is a branch-and-bound search: find a shortest path
-from v to the forbidden set; if none, the empty remainder suffices; else
+from v to the forbidden set; if none, the deletions so far suffice; else
 some path vertex must be deleted, giving branching <= r and depth <= m
-(so at most sum(r^i, i<=m) expansions per search).
+(so at most sum(r^i, i<=m) expansions per search, still the worst case).
+Two prunings remove only subtrees that hold no solution, so the first
+solution in branch order, the witness, is the one the plain search finds:
+
+- Forced first ring: a forbidden neighbour of v is a one-edge path that
+  only its own deletion breaks, so every solution deletes all of them.
+  The search starts with them deleted, or fails at once if there are
+  more than m.  Deleting vertices never brings a new one to distance 1,
+  so this applies only at the root.
+- Disjoint-path refusal: at a node with budget b, up to b more shortest
+  paths are grown with the earlier paths' vertices blocked.  If b+1
+  paths share no vertex besides v, any b deletions miss one of them, and
+  the node fails without branching.
 """
 
 from __future__ import annotations
@@ -77,6 +89,8 @@ def separator_search(
     shortest-path structure, so the search tree has at most
     sum(r^i for i <= m) nodes.
     """
+    if not 0 <= v < g.n:
+        raise ValueError(f"center {v} out of range for n={g.n}")
     fa = frozenset(a)
     if v in fa:
         raise ValueError("separator target set must not contain the center")
@@ -97,10 +111,15 @@ def _separator(
 
     targets may contain v: v is the BFS root, so it is never reached as
     a target.  That lets every search of a ranking round share one set.
+    The search starts with the forced first ring deleted.
     """
-    deleted: set[int] = set()
+    forced = g.adj[v] & targets
     counter = [0]
-    found = _sep_search(g, v, targets, r, m, deleted, counter)
+    if len(forced) > m:
+        counter[0] = 1  # the root node, refused at once
+        found = None
+    else:
+        found = _sep_search(g, v, targets, r, m - len(forced), set(forced), counter)
     if stats is not None:
         stats.record(counter[0])
     return found
@@ -120,6 +139,16 @@ def _sep_search(
     if path is None:
         return frozenset(deleted)
     if budget == 0:
+        return None
+    # Disjoint-path refusal: budget + 1 paths sharing only v cannot all
+    # be cut by budget deletions.
+    blocked = deleted.union(path[1:])
+    for _ in range(budget):
+        other = shortest_path(g, v, targets, r, blocked)
+        if other is None:
+            break
+        blocked.update(other[1:])
+    else:
         return None
     for u in path[1:]:
         deleted.add(u)

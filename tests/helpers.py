@@ -3,10 +3,11 @@
 The oracles here deliberately use different algorithms than the library
 (subset enumeration, relational-algebra formula evaluation) so agreement
 is meaningful.  The full-rescan ranking is the plain form of the rounds
-that compute_ranking evaluates semi-naively, and the pairwise recovery
-is the plain form of the per-row toggles recover_graph applies.  The
-near-twin oracles test every vertex pair where the library tests only
-candidates that share one of k+1 neighbors.
+that compute_ranking evaluates semi-naively, over the separator search
+without its pruning, and the pairwise recovery is the plain form of the
+per-row toggles recover_graph applies.  The near-twin oracles test every
+vertex pair where the library tests only candidates that share one of
+k+1 neighbors.
 """
 
 from __future__ import annotations
@@ -18,11 +19,19 @@ from itertools import combinations, permutations, product
 from typing import Iterable, Optional, Sequence
 
 from treerank.errors import ScaleExceeded
-from treerank.graph import Graph, closed_ball, gen_random, induced, make_graph, within_distance
+from treerank.graph import (
+    Graph,
+    closed_ball,
+    gen_random,
+    induced,
+    make_graph,
+    shortest_path,
+    within_distance,
+)
 from treerank.labd import ParamFunction, near_covered_check
 from treerank.neartwin import PartPartition, symdiff
-from treerank.ranking import RankAssignment, separator_search
-from treerank.sparsify import RecoverError, SparsifiedGraph
+from treerank.ranking import RankAssignment
+from treerank.sparsify import RecoverError, SparsifiedGraph, build_sparsifier
 
 INF = math.inf
 
@@ -135,6 +144,23 @@ def flipped_blocks(n: int, seed: int) -> tuple[Graph, Graph]:
             pairs = product(blocks[i], blocks[j])
         edges.symmetric_difference_update((min(x, y), max(x, y)) for x, y in pairs)
     return make_graph(n, edges), base
+
+
+def noisy_clusters(n: int, s: int, seed: int) -> Graph:
+    """The sparsified H of a noisy cluster graph.
+
+    G is the cluster graph on cliques of s consecutive ids with the
+    pairs of sparse_graph(n, n, seed) toggled: cluster graph xor G(n,
+    M = n).  With D the noise's max degree, H is
+    build_sparsifier(G, 2D + 2, ceil(D / 2)).graph: the noise plus one
+    apex per clique.  At r = 3 the apexes join through leaf-noise-leaf
+    paths, so their separator searches fail at every small m.
+    """
+    noise = sparse_graph(n, n, seed)
+    d = max(noise.degree(v) for v in range(n))
+    edges = {(u, v) for u in range(n) for v in range(u + 1, min(n, (u // s + 1) * s))}
+    edges.symmetric_difference_update(noise.edges())
+    return build_sparsifier(make_graph(n, edges), 2 * d + 2, math.ceil(d / 2)).graph
 
 
 def bfs_distances(g: Graph, source: int) -> dict[int, int]:
@@ -337,12 +363,45 @@ def _separable(g, v, r, m, others, ranks, k) -> bool:
     return False
 
 
-def ranking_full_rescan(g: Graph, r: int, m: int, stats=None) -> RankAssignment:
+def separator_search_unpruned(
+    g: Graph, v: int, targets: frozenset[int], r: int, m: int
+) -> Optional[frozenset[int]]:
+    """The separator search without the library's pruning: no forced
+    first ring and no disjoint-path refusal, only branching on each
+    shortest path.  It walks the whole search tree in branch order, so
+    the pruned search must return the same first witness."""
+    return _sep_search_unpruned(g, v, targets, r, m, set())
+
+
+def _sep_search_unpruned(
+    g: Graph,
+    v: int,
+    targets: frozenset[int],
+    r: int,
+    budget: int,
+    deleted: set[int],
+) -> Optional[frozenset[int]]:
+    path = shortest_path(g, v, targets, r, deleted)
+    if path is None:
+        return frozenset(deleted)
+    if budget == 0:
+        return None
+    for u in path[1:]:
+        deleted.add(u)
+        res = _sep_search_unpruned(g, v, targets, r, budget - 1, deleted)
+        if res is not None:
+            return res
+        deleted.remove(u)
+    return None
+
+
+def ranking_full_rescan(g: Graph, r: int, m: int) -> RankAssignment:
     """Reference ranking that re-checks every unranked vertex each round.
 
-    Every check goes through the public separator_search with its own
-    copy of the target set, so it shares neither the round's unranked
-    set nor the semi-naive restriction with compute_ranking.
+    Every check runs separator_search_unpruned on its own copy of the
+    target set, so it shares neither the round's unranked set, nor the
+    semi-naive restriction, nor the search's pruning with
+    compute_ranking.  Equal witnesses show the pruning keeps branch order.
     """
     ranks: list[float] = [INF] * g.n
     witnesses: dict[int, frozenset[int]] = {}
@@ -352,7 +411,7 @@ def ranking_full_rescan(g: Graph, r: int, m: int, stats=None) -> RankAssignment:
         round_no += 1
         assigned = []
         for v in sorted(unranked):
-            s = separator_search(g, v, unranked - {v}, r, m, stats)
+            s = separator_search_unpruned(g, v, frozenset(unranked - {v}), r, m)
             if s is not None:
                 assigned.append((v, s))
         if not assigned:

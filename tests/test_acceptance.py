@@ -7,6 +7,7 @@ lines and timings.
 import math
 import random
 import time
+from itertools import product
 
 import pytest
 
@@ -406,14 +407,15 @@ def test_criterion_11_performance_envelope():
 
 def test_criterion_12_sparsifier_output_has_tree_rank_two():
     """The sparsifier maps a flip of a bounded-degree graph to H with
-    G = I(H) and max rank <= 2, for parameters fixed by the base degree D.
+    G = I(H) and max rank <= 2, for parameters fixed by the base degree D:
+    the rank is checked at r = 1..3 with m = D+1 and with m = 2D+2.
 
     Inputs: the four-block flip pattern up to n = 1600 and complements
     of G(n, 3/n) up to n = 800, each of degree about n/2.  With k = 2D+2
     every flipped block is one near-twin component, and h = ceil(D/2)
     keeps the sparse background light, so H is the base plus one apex
     per flipped block.  The dense inputs themselves have max rank
-    infinity at the same (r, m).
+    infinity at r = 1, m = D+1.
 
     The rank is checked directly, not by extracting a shallow tree:
     extraction needs the ranking at m_prime(2, 1, D+1), which is 188 at
@@ -433,26 +435,26 @@ def test_criterion_12_sparsifier_output_has_tree_rank_two():
             cases.append(("complement", n, seed, g, base))
     for kind, n, seed, g, base in cases:
         d = max(base.degree(v) for v in range(n))
-        k, h, m = 2 * d + 2, max(1, math.ceil(d / 2)), d + 1
+        k, h = 2 * d + 2, max(1, math.ceil(d / 2))
         sg = build_sparsifier(g, k, h)
         assert recover(sg) == g, (kind, n, seed)
         assert all(sg.graph.degree(v) <= d + 1 for v in range(n)), (kind, n, seed)
-        for r in (1, 2, 3):
+        for r, m in product((1, 2, 3), (d + 1, 2 * d + 2)):
             ranks = compute_ranking(sg.graph, r, m).ranks
             v = next((v for v, x in enumerate(ranks) if x > 2), None)
             # On failure, also print the path from v to another vertex
             # of rank above 2 that the separator search could not cut.
             assert v is None, (
-                f"{kind} n={n} seed={seed} r={r}: vertex {v} has rank {ranks[v]} "
+                f"{kind} n={n} seed={seed} r={r} m={m}: vertex {v} has rank {ranks[v]} "
                 f"and degree {sg.graph.degree(v)}; path to another vertex of rank > 2: "
                 f"{shortest_path(sg.graph, v, {u for u, x in enumerate(ranks) if x > 2} - {v}, r)}"
             )
         if n == 200:
-            assert compute_ranking(g, 1, m).max_rank() == INF, (kind, n, seed)
+            assert compute_ranking(g, 1, d + 1).max_rank() == INF, (kind, n, seed)
     elapsed = time.time() - t0
     assert elapsed < 60
     _report(
         12,
         f"{len(cases)} flipped inputs n<=1600: recovery exact, non-apex degree <= D+1, "
-        f"rank <= 2 at r=1..3 (dense inputs: inf) in {elapsed:.1f}s",
+        f"rank <= 2 at r=1..3, m=D+1 and 2D+2 (dense inputs: inf) in {elapsed:.1f}s",
     )

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -16,6 +17,7 @@ from treerank.ranking import (
 from helpers import (
     backconnectivity,
     complete_graph,
+    noisy_clusters,
     path_graph,
     permute_graph,
     rank_oracle,
@@ -93,13 +95,13 @@ class TestComputeRanking:
                 assert compute_ranking(g, r, m).ranks == rank_oracle(g, r, m)
 
     def test_matches_full_rescan(self):
-        corpus = seeded_random_graphs(30, 14, 83)
+        corpus = seeded_random_graphs(200, 14, 83)
         corpus += [gen_random(16, p, seed) for seed, p in enumerate((0.1, 0.2, 0.5, 0.8))]
         corpus += [complete_graph(6), star(7), path_graph(9)]
         infinite = 0
         for g in corpus:
             for r in (1, 2, 3):
-                for m in range(4):
+                for m in range(5):
                     ra = compute_ranking(g, r, m)
                     ref = ranking_full_rescan(g, r, m)
                     assert ra.ranks == ref.ranks
@@ -140,6 +142,11 @@ class TestSeparatorSearch:
         with pytest.raises(ValueError):
             separator_search(path_graph(3), 0, {0, 2}, 1, 1)
 
+    @pytest.mark.parametrize("v", [-1, 4])
+    def test_center_out_of_range_rejected(self, v):
+        with pytest.raises(ValueError, match="out of range"):
+            separator_search(path_graph(4), v, [0], 2, 0)
+
     def test_bruteforce_path(self):
         assert separator_search_bruteforce(path_graph(4), 0, {3}, 3, 1) is not None
 
@@ -176,6 +183,47 @@ class TestSeparatorSearch:
         bound = sum(r**i for i in range(m + 1))
         assert stats.max_nodes_per_search <= bound
         assert stats.max_nodes_per_search <= r**m * g.n**2
+
+
+class TestSearchPruning:
+    def test_forced_ring_over_budget_refused_at_root(self):
+        stats = SearchStats()
+        assert separator_search(star(5), 0, range(1, 6), 3, 4, stats) is None
+        assert stats.nodes == 1
+
+    def test_forced_ring_deleted_at_once(self):
+        stats = SearchStats()
+        assert separator_search(star(5), 0, range(1, 6), 3, 5, stats) == frozenset(range(1, 6))
+        assert stats.nodes == 1
+
+    def test_disjoint_paths_refused(self):
+        # Four paths 0-i-(i+4) of length 2 that share only vertex 0: no
+        # three deletions cut them all, and the root sees that at once.
+        g = make_graph(9, [(0, i) for i in range(1, 5)] + [(i, i + 4) for i in range(1, 5)])
+        stats = SearchStats()
+        assert separator_search(g, 0, range(5, 9), 2, 3, stats) is None
+        assert stats.nodes == 1
+        assert separator_search(g, 0, range(5, 9), 2, 4) == frozenset(range(1, 5))
+
+    def test_noisy_cluster_matches_unpruned_oracle(self):
+        h = noisy_clusters(900, 30, 1)
+        for m in range(7):
+            ra = compute_ranking(h, 3, m)
+            ref = ranking_full_rescan(h, 3, m)
+            assert ra.ranks == ref.ranks
+            assert list(ra.witnesses.items()) == list(ref.witnesses.items())
+
+    def test_noisy_cluster_apexes_refused_fast(self):
+        # Without pruning this ranking visits 2,661,120 search nodes
+        # (82 s on a 2-vCPU VM); with it, one node per search.
+        h = noisy_clusters(900, 30, 1)
+        stats = SearchStats()
+        t0 = time.time()
+        ra = compute_ranking(h, 3, 10, stats)
+        elapsed = time.time() - t0
+        assert [v for v, x in enumerate(ra.ranks) if x == INF] == list(range(900, 930))
+        assert stats.nodes <= 2000  # 960 measured
+        assert elapsed < 60
 
 
 class TestOrders:
