@@ -4,15 +4,17 @@
 # would need about 5 million bits, and g_bound passes the cap by t = 73,728.
 BOUND_MAX_BITS = 2**20
 
-# Cap on the vertices `treerank gen` writes when --cap-nodes is not given:
-# building and writing the 111,111-vertex tree (depth 5, branching 10)
-# takes about 0.5 s and 100 MB peak RSS (Python 3.11, 2-vCPU VM), so a
-# graph at the cap costs about 5 s and 1 GB.
+# Cap on the vertices `treerank gen` writes when --cap-nodes is not given,
+# and on the vertices a graph file's header may declare: building and
+# writing the 111,111-vertex tree (depth 5, branching 10) takes about
+# 0.5 s and 100 MB peak RSS (Python 3.11, 2-vCPU VM), so a graph at the
+# cap costs about 5 s and 1 GB.
 GRAPH_MAX_VERTICES = 1_000_000
 
 # Cap on the half-graph edges and gen random pairs `treerank gen` builds
-# or scans: 500,500 edges took 0.9 s and 180 MB peak RSS, and 8 M pairs
-# 1.1 s, on the same VM, so a half-graph at the cap costs about 5 s and 0.9 GB.
+# or scans, and on the vertex pairs neartwin_graph scans: 500,500 edges
+# took 0.9 s and 180 MB peak RSS, and 8 M pairs 1.1 s, on the same VM,
+# so a half-graph at the cap costs about 5 s and 0.9 GB.
 GRAPH_MAX_PAIRS = 2_500_000
 
 

@@ -21,58 +21,57 @@ Variables and predicate names are bare symbols.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Union
 
-from .graph import Graph, relabel, within_distance
+from .graph import Graph, record, relabel, within_distance
 
 
-@dataclass(frozen=True)
+@record
 class Edge:
     x: str
     y: str
 
 
-@dataclass(frozen=True)
+@record
 class Pred:
     name: str
     x: str
 
 
-@dataclass(frozen=True)
+@record
 class Eq:
     x: str
     y: str
 
 
-@dataclass(frozen=True)
+@record
 class Const:
     value: bool
 
 
-@dataclass(frozen=True)
+@record
 class Not:
     f: "Formula"
 
 
-@dataclass(frozen=True)
+@record
 class And:
     parts: tuple["Formula", ...]
 
 
-@dataclass(frozen=True)
+@record
 class Or:
     parts: tuple["Formula", ...]
 
 
-@dataclass(frozen=True)
+@record
 class Exists:
     var: str
     f: "Formula"
 
 
-@dataclass(frozen=True)
+@record
 class Forall:
     var: str
     f: "Formula"
@@ -186,7 +185,7 @@ def _domain(f: Union[Exists, Forall], bound: frozenset[str]) -> Callable[..., It
     return lambda g, env: range(g.n)
 
 
-@dataclass(frozen=True)
+@record
 class Interpretation:
     """A pair (psi(x, y), delta(x)) defining a graph transformation.
 

@@ -17,9 +17,10 @@ Text format (line oriented, UTF-8, '#' starts a comment):
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import AbstractSet, Iterable, Mapping, Optional
+
+from .errors import GRAPH_MAX_VERTICES, ScaleExceeded
 
 
 class ParseError(ValueError):
@@ -30,7 +31,75 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True, eq=True)
+class field:
+    """A record field's default_factory, called once per instance."""
+
+    def __init__(self, *, default_factory):
+        self.default_factory = default_factory
+
+
+def record(cls=None, *, frozen=True):
+    """Class decorator making a record of the annotated fields, in place
+    of dataclasses.dataclass(frozen=...), which costs every process the
+    import of inspect and an exec per class.
+
+    __init__ takes the fields in order, by position or keyword, with
+    defaults and field(default_factory=...), then runs __post_init__ if
+    the class has one.  repr is Name(field=value, ...), and == holds
+    between records of one class with equal field tuples.  A frozen
+    record refuses assignment and deletion and, unless the class defines
+    __hash__, hashes its field tuple; a mutable one is unhashable.
+    """
+    if cls is None:
+        return lambda c: record(c, frozen=frozen)
+    names = tuple(cls.__annotations__)
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    for name, default in defaults.items():
+        if isinstance(default, field):
+            delattr(cls, name)
+    post_init = getattr(cls, "__post_init__", None)
+
+    def values(self) -> tuple:
+        return tuple([getattr(self, name) for name in names])
+
+    def __init__(self, *args, **kwargs):
+        given = dict(zip(names, args))
+        if len(args) > len(names) or given.keys() & kwargs or kwargs.keys() - names:
+            raise TypeError(f"{cls.__name__}() takes the fields {names}, got {len(args)} "
+                            f"positional arguments and the keywords {sorted(kwargs)}")
+        given.update(kwargs)
+        for name in names:
+            if name not in given:
+                if name not in defaults:
+                    raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+                default = defaults[name]
+                given[name] = default.default_factory() if isinstance(default, field) else default
+        self.__dict__.update(given)
+        if post_init is not None:
+            post_init(self)
+
+    def __repr__(self) -> str:
+        return f"{cls.__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return values(self) == values(other)
+
+    def refuse(self, name, *_):
+        raise AttributeError(f"cannot assign to or delete field {name!r} of a frozen {cls.__name__}")
+
+    cls.__init__, cls.__repr__, cls.__eq__ = __init__, __repr__, __eq__
+    if not frozen:
+        cls.__hash__ = None
+    else:
+        cls.__setattr__ = cls.__delattr__ = refuse
+        if "__hash__" not in cls.__dict__:
+            cls.__hash__ = lambda self: hash(values(self))
+    return cls
+
+
+@record
 class Graph:
     """Immutable simple graph.
 
@@ -71,7 +140,7 @@ class Graph:
 
     @cached_property
     def _sorted_rows(self) -> list[Optional[tuple[int, ...]]]:
-        # Not a dataclass field, so equality, repr and write_graph ignore it.
+        # Not a record field, so equality, repr and write_graph ignore it.
         return [None] * self.n
 
 
@@ -111,12 +180,14 @@ def parse_graph(text: str) -> Graph:
 
     Raises ParseError (with line number) on: malformed lines, vertex ids
     out of range, duplicate edges, self-loops, missing or repeated
-    headers, and an edge count disagreeing with the header.
+    headers, and an edge count disagreeing with the header.  Raises
+    ScaleExceeded, before any row is allocated, when the header declares
+    more than GRAPH_MAX_VERTICES vertices.
     """
     n = None
-    declared_m = 0
+    declared_m = found_m = 0
     header_line = 0
-    edges: set[tuple[int, int]] = set()
+    adj: list[set[int]] = []
     preds: dict[str, set[int]] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         if "#" in line:
@@ -136,10 +207,11 @@ def parse_graph(text: str) -> Graph:
                 raise ParseError(line_no, f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ParseError(line_no, f"vertex id out of range in edge ({u},{v})")
-            key = (u, v) if u < v else (v, u)
-            if key in edges:
-                raise ParseError(line_no, f"duplicate edge ({key[0]},{key[1]})")
-            edges.add(key)
+            if v in adj[u]:
+                raise ParseError(line_no, f"duplicate edge ({min(u, v)},{max(u, v)})")
+            adj[u].add(v)
+            adj[v].add(u)
+            found_m += 1
         elif tag == "p":
             if n is not None:
                 raise ParseError(line_no, "duplicate header")
@@ -151,7 +223,12 @@ def parse_graph(text: str) -> Graph:
                 raise ParseError(line_no, "header counts must be integers") from None
             if n < 0 or declared_m < 0:
                 raise ParseError(line_no, "header counts must be nonnegative")
+            if n > GRAPH_MAX_VERTICES:
+                raise ScaleExceeded(
+                    "parse_graph", f"header declares {n} vertices, over {GRAPH_MAX_VERTICES}"
+                )
             header_line = line_no
+            adj = [set() for _ in range(n)]
         elif n is None:
             raise ParseError(line_no, "missing 'p' header before data line")
         elif tag == "l":
@@ -170,15 +247,17 @@ def parse_graph(text: str) -> Graph:
             raise ParseError(line_no, f"unknown directive {tag!r}")
     if n is None:
         raise ParseError(1, "empty input: missing 'p' header")
-    if len(edges) != declared_m:
-        raise ParseError(header_line, f"header declares {declared_m} edges, found {len(edges)}")
-    return make_graph(n, edges, preds)
+    if found_m != declared_m:
+        raise ParseError(header_line, f"header declares {declared_m} edges, found {found_m}")
+    return Graph(n, tuple(map(frozenset, adj)), {name: frozenset(vs) for name, vs in preds.items() if vs})
 
 
 def write_graph(g: Graph) -> str:
     """Serialize a Graph; parse_graph(write_graph(g)) == g."""
     lines = [f"p {g.n} {g.edge_count()}"]
-    lines.extend(f"e {u} {v}" for u, v in g.edges())
+    for u, row in enumerate(g.adj):
+        prefix = f"e {u} "
+        lines.extend(prefix + str(v) for v in sorted([v for v in row if v > u]))
     for name in sorted(g.predicates):
         members = " ".join(str(v) for v in sorted(g.predicates[name]))
         lines.append(f"l {name} {members}")
@@ -451,7 +530,7 @@ def induced(g: Graph, x: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     return relabel(g, keep, [(u, v) for u, v in g.edges() if u in keep and v in keep])
 
 
-@dataclass(frozen=True)
+@record
 class Embedding:
     """A tree pattern embedded as a subdivided subgraph.
 

@@ -10,15 +10,14 @@ trivially.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .errors import ScaleExceeded
-from .graph import Graph, within_distance
+from .graph import Graph, field, record, within_distance
 from .neartwin import neartwin_graph
 
 
-@dataclass(frozen=True)
+@record
 class ParamFunction:
     """Evaluable per-radius bound with an overflow verdict.
 
@@ -102,7 +101,7 @@ def parse_param_function(spec: str) -> ParamFunction:
     )
 
 
-@dataclass(frozen=True)
+@record
 class ClassSpec:
     """Bounded-exception degree class: at most f(r) vertices of degree
     more than d(r) inside every radius-r ball."""
@@ -111,7 +110,7 @@ class ClassSpec:
     d: ParamFunction
 
 
-@dataclass(frozen=True)
+@record
 class LabdResult:
     ok: bool
     certificate: Optional[tuple[int, int, tuple[int, ...]]] = None  # (r, v, offenders)
@@ -156,7 +155,7 @@ def labd_check(g: Graph, spec: ClassSpec, r_max: Optional[int] = None) -> LabdRe
     return LabdResult(True)
 
 
-@dataclass(frozen=True)
+@record
 class NearCoveredResult:
     ok: bool
     exact: bool

@@ -10,12 +10,11 @@ endpoints differ too much, it produces an order-t half-graph witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Optional, Sequence, Union
 
-from .errors import BOUND_MAX_BITS, ScaleExceeded
-from .graph import Graph, make_graph, shortest_path
+from .errors import BOUND_MAX_BITS, GRAPH_MAX_PAIRS, ScaleExceeded
+from .graph import Graph, make_graph, record, shortest_path
 
 
 def symdiff(g: Graph, u: int, v: int) -> int:
@@ -25,7 +24,7 @@ def symdiff(g: Graph, u: int, v: int) -> int:
     return len(g.adj[u] ^ g.adj[v])
 
 
-@dataclass(frozen=True)
+@record
 class NearTwinView:
     """NT_k(G) with its connected-component partition."""
 
@@ -46,7 +45,12 @@ def neartwin_view(g: Graph, k: int) -> NearTwinView:
 
 def neartwin_graph(g: Graph, k: int) -> Graph:
     """NT_k(G) by an all-pairs scan; pairs whose degrees differ by more
-    than k are skipped unread.  Edgeless when k < 0."""
+    than k are skipped unread.  Edgeless when k < 0.  Raises
+    ScaleExceeded before the scan when g has more than GRAPH_MAX_PAIRS
+    vertex pairs."""
+    pairs = g.n * (g.n - 1) // 2
+    if pairs > GRAPH_MAX_PAIRS:
+        raise ScaleExceeded("neartwin_graph", f"{pairs} vertex pairs to scan, over {GRAPH_MAX_PAIRS}")
     degs = [len(row) for row in g.adj]
     near = _near_test(g, k)
     edges = [
@@ -79,7 +83,7 @@ def _near_test(g: Graph, k: int) -> Callable[[int, int], bool]:
     return near
 
 
-@dataclass(frozen=True)
+@record
 class PartPartition:
     """Connected components of NT_k(G), each sorted, ordered by minimum."""
 
@@ -161,7 +165,7 @@ def h_bound(k: int, t: int) -> int:
     return 2 * g_bound(t + 1, k, t)
 
 
-@dataclass(frozen=True)
+@record
 class HalfgraphWitness:
     """Vertices u_1..u_t, w_1..w_t with edge(u_i, w_j) iff i <= j."""
 
@@ -229,7 +233,7 @@ def find_halfgraph(g: Graph, t: int, cap_nodes: int = 500_000) -> Optional[Halfg
     return None
 
 
-@dataclass(frozen=True)
+@record
 class HalfgraphExtraction:
     """Successful extraction: the witness plus its audit trail.
 
@@ -245,7 +249,7 @@ class HalfgraphExtraction:
         return HalfgraphWitness(self.u, self.w)
 
 
-@dataclass(frozen=True)
+@record
 class ExtractionFailure:
     """A precondition or chain property that failed, with its index."""
 

@@ -34,17 +34,16 @@ solution in branch order, the witness, is the one the plain search finds:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import AbstractSet, Iterable, Mapping, Optional
 
-from .graph import Graph, shortest_path, within_distance
+from .graph import Graph, field, record, shortest_path, within_distance
 
 INF = math.inf
 
 Rank = float  # positive int, or math.inf
 
 
-@dataclass
+@record(frozen=False)
 class SearchStats:
     """Instrumentation for separator searches (node = one recursive call)."""
 
@@ -58,7 +57,7 @@ class SearchStats:
         self.max_nodes_per_search = max(self.max_nodes_per_search, nodes)
 
 
-@dataclass(frozen=True)
+@record
 class RankAssignment:
     """Per-vertex ranks plus the separator witnesses found on assignment."""
 

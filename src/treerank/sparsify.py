@@ -13,11 +13,10 @@ exact on every input graph, class member or not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Mapping, Optional
 
 from .errors import ScaleExceeded
-from .graph import Graph, flip, relabel, s_flip, s_flip_classes
+from .graph import Graph, flip, record, relabel, s_flip, s_flip_classes
 from .neartwin import PartPartition, component_partition
 
 # Only sflip_driver verifies with labd; it imports it when called.
@@ -25,7 +24,7 @@ if TYPE_CHECKING:
     from .labd import ClassSpec
 
 
-@dataclass(frozen=True)
+@record
 class HeavyClassification:
     h: int
     heavy: frozenset[int]
@@ -60,7 +59,7 @@ def classify_heavy(g: Graph, partition: PartPartition, h: int) -> HeavyClassific
     return HeavyClassification(h, heavy, frozenset(pairs))
 
 
-@dataclass(frozen=True)
+@record
 class SparsifiedGraph:
     """Construction output: the marked graph plus build provenance."""
 
@@ -185,7 +184,7 @@ def colex_subsets(n: int, s: int) -> Iterator[tuple[int, ...]]:
                 yield (*rest, top)
 
 
-@dataclass(frozen=True)
+@record
 class SflipResult:
     s: tuple[int, ...]
     flip_spec: tuple[tuple[int, int], ...]

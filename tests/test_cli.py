@@ -80,6 +80,26 @@ def test_gen_output_size_is_capped_before_building(capsys, argv, cap, code):
         assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("text, argv, op", [
+    ("p 1000001 0\n", ["rank", "--r", "1", "--m", "1"], "parse_graph"),
+    ("p 1000000000000 0\n", ["rank", "--r", "1", "--m", "1"], "parse_graph"),
+    ("p 2237 0\n", ["neartwin", "--k", "0"], "neartwin_graph"),
+])
+def test_input_size_is_capped_before_allocating(capsys, tmp_path, text, argv, op):
+    # A header over errors.GRAPH_MAX_VERTICES is refused before any row
+    # is allocated, and neartwin's all-pairs scan stops at
+    # errors.GRAPH_MAX_PAIRS (n = 2237 has 2,500,966 pairs).
+    src = tmp_path / "big.graph"
+    src.write_text(text)
+    t0 = time.time()
+    got = cli.main(["--input", str(src), *argv])
+    elapsed = time.time() - t0
+    captured = capsys.readouterr()
+    assert got == 3 and elapsed < 0.5 and captured.out == ""
+    assert captured.err.startswith(f"error: {op}: scale cap exceeded")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_gen_random_seed_flag(capsys):
     code1, out1 = run(capsys, "--seed", "5", "gen", "random", "--n", "10", "--p", "0.5")
     code2, out2 = run(capsys, "--seed", "5", "gen", "random", "--n", "10", "--p", "0.5")

@@ -93,6 +93,23 @@ def test_interpretation_validates_free_vars():
         fo.Interpretation(fo.Edge("x", "z"), fo.TRUE)
     with pytest.raises(ValueError, match="free variable"):
         fo.Interpretation(fo.Edge("x", "y"), fo.Pred("R", "y"))
+    with pytest.raises(ValueError, match="free variable"):
+        fo.Interpretation(delta=fo.TRUE, psi=fo.Edge("y", "z"))
+
+
+def test_formula_nodes_are_frozen_values_of_their_class():
+    p = fo.Edge("x", "y")
+    assert fo.And((p,)) != fo.Or((p,)) and fo.Or((p,)) != fo.And((p,))
+    assert fo.Exists("y", p) != fo.Forall("y", p)
+    assert fo.Exists("y", p) == fo.Exists(var="y", f=fo.Edge("x", "y"))
+    assert hash(fo.conj(p, fo.TRUE)) == hash(fo.And((fo.Edge("x", "y"), fo.Const(True))))
+    assert len({fo.And((p,)), fo.Or((p,)), fo.And((p,))}) == 2
+    with pytest.raises(AttributeError):
+        p.x = "z"
+    with pytest.raises(AttributeError):
+        del p.x
+    assert p == fo.Edge("x", "y")
+    assert repr(fo.Not(p)) == "Not(f=Edge(x='x', y='y'))"
 
 
 def test_asymmetric_psi_symmetrized():

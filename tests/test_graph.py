@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treerank.graph import (
+    Embedding,
     Graph,
     ParseError,
     closed_ball,
@@ -19,6 +20,8 @@ from treerank.graph import (
     tree_order,
     write_graph,
 )
+from treerank.neartwin import HalfgraphWitness
+from treerank.ranking import RankAssignment, SearchStats
 
 from helpers import bfs_distances, complete_graph, path_graph, star
 
@@ -114,6 +117,54 @@ class TestHash:
         assert seen == {by_make: 3}
         other = make_graph(4, edges, {"R": [0]})
         assert len({by_make, other}) == 2 and other not in seen
+
+
+class TestRecords:
+    def test_frozen_fields_refuse_assignment_and_deletion(self):
+        g = path_graph(3)
+        with pytest.raises(AttributeError):
+            g.n = 4
+        with pytest.raises(AttributeError):
+            del g.adj
+        assert g == path_graph(3)
+        assert g.sorted_neighbors(1) == (0, 2)  # cached_property still writes __dict__
+
+    def test_arguments_follow_field_order_with_defaults(self):
+        adj = (frozenset({1}), frozenset({0}))
+        assert Graph(2, adj) == Graph(adj=adj, n=2) == Graph(2, adj, {})
+        with pytest.raises(TypeError):
+            Graph(2)
+        with pytest.raises(TypeError):
+            Graph(2, adj, {}, None)
+        with pytest.raises(TypeError):
+            Graph(2, adj, n=2)
+
+    def test_default_factory_gives_each_record_its_own_dict(self):
+        a, b = Graph(0, ()), Graph(0, ())
+        assert a.predicates == {} and a.predicates is not b.predicates
+        ra, rb = RankAssignment(1, 1, ()), RankAssignment(1, 1, ())
+        assert ra.witnesses == {} and ra.witnesses is not rb.witnesses
+
+    def test_equal_records_hash_equal(self):
+        a = Embedding({0: 1}, {(0, 1): (1, 2)})
+        assert a == Embedding({0: 1}, {(0, 1): (1, 2)})
+        assert RankAssignment(1, 2, (1, 1)) == RankAssignment(1, 2, (1, 1))
+        k = HalfgraphWitness((0, 1), (2, 3))
+        assert hash(k) == hash(HalfgraphWitness((0, 1), (2, 3))) == hash(((0, 1), (2, 3)))
+        assert k != ((0, 1), (2, 3))
+
+    def test_mutable_record_counts_and_is_unhashable(self):
+        stats = SearchStats()
+        stats.record(5)
+        assert stats == SearchStats(1, 5, 5) and stats != SearchStats()
+        with pytest.raises(TypeError):
+            hash(stats)
+
+    def test_repr_names_every_field(self):
+        assert repr(SearchStats(2, 9, 7)) == "SearchStats(searches=2, nodes=9, max_nodes_per_search=7)"
+        assert repr(make_graph(2, [(0, 1)], {"R": [1]})) == (
+            "Graph(n=2, adj=(frozenset({1}), frozenset({0})), predicates={'R': frozenset({1})})"
+        )
 
 
 class TestGenerators:

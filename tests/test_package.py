@@ -39,17 +39,25 @@ PUBLIC = {
 }
 NAMES = sorted(name for names in PUBLIC.values() for name in names)
 
-# Prints the sorted treerank modules a snippet leaves loaded, as JSON.
-_REPORT = "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'treerank')))"
+# Prints the sorted modules a snippet leaves loaded, as JSON.
+_REPORT = "print(json.dumps(sorted(sys.modules)))"
+
+# Standard modules no treerank process needs; dataclasses and the inspect
+# it imports cost every process over 10 ms.
+_UNWANTED = {"dataclasses", "inspect"}
 
 
 def loaded_after(code: str) -> list[str]:
+    """The treerank modules a snippet leaves loaded; it must load none of
+    the unwanted standard modules."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run(
         [sys.executable, "-c", f"import json, sys\n{code}\n{_REPORT}"],
         env=env, capture_output=True, text=True, check=True, timeout=60,
     ).stdout
-    return json.loads(out.splitlines()[-1])
+    modules = json.loads(out.splitlines()[-1])
+    assert _UNWANTED.isdisjoint(modules)
+    return [m for m in modules if m.split(".")[0] == "treerank"]
 
 
 def test_all_lists_the_eager_exports():
