@@ -188,8 +188,12 @@ def _cmd_gen(args, _: None) -> tuple[str, int]:
     # The output's vertex count is checked before anything is built: a
     # tree grows by the branching per level, and subdividing each edge R
     # times adds R vertices per edge.  Half-graph edges and the pairs gen
-    # random scans grow as the square of the order.
+    # random scans grow as the square of the order.  A cap above
+    # GRAPH_MAX_VERTICES is refused, since parse_graph could not read the
+    # output back.
     cap = GRAPH_MAX_VERTICES if args.cap_nodes is None else args.cap_nodes
+    if cap > GRAPH_MAX_VERTICES:
+        raise ScaleExceeded("gen", f"--cap-nodes {cap} is over {GRAPH_MAX_VERTICES}, the most parse_graph reads")
     if args.family == "tree":
         if args.depth is None or args.branch is None:
             raise ValueError("gen tree needs --depth and --branch")

@@ -185,9 +185,9 @@ def parse_graph(text: str) -> Graph:
     more than GRAPH_MAX_VERTICES vertices.
     """
     n = None
-    declared_m = found_m = 0
+    declared_m = 0
     header_line = 0
-    adj: list[set[int]] = []
+    edges: set[tuple[int, int]] = set()
     preds: dict[str, set[int]] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         if "#" in line:
@@ -207,11 +207,10 @@ def parse_graph(text: str) -> Graph:
                 raise ParseError(line_no, f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ParseError(line_no, f"vertex id out of range in edge ({u},{v})")
-            if v in adj[u]:
-                raise ParseError(line_no, f"duplicate edge ({min(u, v)},{max(u, v)})")
-            adj[u].add(v)
-            adj[v].add(u)
-            found_m += 1
+            key = (u, v) if u < v else (v, u)
+            if key in edges:
+                raise ParseError(line_no, f"duplicate edge ({key[0]},{key[1]})")
+            edges.add(key)
         elif tag == "p":
             if n is not None:
                 raise ParseError(line_no, "duplicate header")
@@ -228,7 +227,6 @@ def parse_graph(text: str) -> Graph:
                     "parse_graph", f"header declares {n} vertices, over {GRAPH_MAX_VERTICES}"
                 )
             header_line = line_no
-            adj = [set() for _ in range(n)]
         elif n is None:
             raise ParseError(line_no, "missing 'p' header before data line")
         elif tag == "l":
@@ -247,9 +245,9 @@ def parse_graph(text: str) -> Graph:
             raise ParseError(line_no, f"unknown directive {tag!r}")
     if n is None:
         raise ParseError(1, "empty input: missing 'p' header")
-    if found_m != declared_m:
-        raise ParseError(header_line, f"header declares {declared_m} edges, found {found_m}")
-    return Graph(n, tuple(map(frozenset, adj)), {name: frozenset(vs) for name, vs in preds.items() if vs})
+    if len(edges) != declared_m:
+        raise ParseError(header_line, f"header declares {declared_m} edges, found {len(edges)}")
+    return make_graph(n, edges, preds)
 
 
 def write_graph(g: Graph) -> str:

@@ -176,7 +176,9 @@ def near_covered_check(
     k-near-twins (an independent set in NT_k); verdicts are exact but the
     search is capped.  Greedy mode builds one maximal set by smallest-id
     choice: its False verdicts are sound, its True verdicts heuristic
-    (flagged by exact=False in the result).
+    (flagged by exact=False in the result).  Both modes build NT_k(g)
+    with neartwin_graph, so both raise ScaleExceeded when g has more than
+    GRAPH_MAX_PAIRS vertex pairs.
     """
     if k < 0 or m < 0:
         raise ValueError("need k >= 0 and m >= 0")

@@ -37,10 +37,11 @@ def neartwin_view(g: Graph, k: int) -> NearTwinView:
     """Materialize NT_k(G).  Quadratic in n; meant for desk-scale graphs.
 
     Components are listed in order of their smallest member, members in
-    id order.
+    id order.  Raises ScaleExceeded, as neartwin_graph does, when g has
+    more than GRAPH_MAX_PAIRS vertex pairs.
     """
-    parts = component_partition(g, k).parts
-    return NearTwinView(k, neartwin_graph(g, k), parts)
+    nt = neartwin_graph(g, k)
+    return NearTwinView(k, nt, component_partition(g, k).parts)
 
 
 def neartwin_graph(g: Graph, k: int) -> Graph:
@@ -369,7 +370,9 @@ def _check_chain(
 def nt_path(g: Graph, k: int, u: int, v: int) -> Optional[list[int]]:
     """Shortest path from u to v in NT_k(g), by BFS over its sorted rows.
 
-    Each vertex keeps its first discoverer as parent.
+    Each vertex keeps its first discoverer as parent.  Unless u == v,
+    raises ScaleExceeded, as neartwin_graph does, when g has more than
+    GRAPH_MAX_PAIRS vertex pairs.
     """
     if u == v:
         return [u]
@@ -386,7 +389,9 @@ def extract_halfgraph_for_pair(
     """Extraction driver for a same-component pair differing too much.
 
     Orients the pair so the surplus side is large enough, finds a
-    near-twin path between them, and extracts.
+    near-twin path between them, and extracts.  The path search raises
+    ScaleExceeded, as neartwin_graph does, when g has more than
+    GRAPH_MAX_PAIRS vertex pairs.
     """
     need = g_bound(t + 1, k, t)
     if len(g.adj[v] - g.adj[u]) >= need:

@@ -62,10 +62,14 @@ def test_gen_with_subdivision_and_output_file(capsys, tmp_path):
     (["gen", "random", "--n", "12", "--p", "0.5"], "12", 0),
     (["gen", "random", "--n", "2237", "--p", "0"], None, 3),
     (["gen", "random", "--n", "100000", "--p", "0"], None, 3),
+    (["gen", "tree", "--depth", "2", "--branch", "3"], "1000000", 0),
+    (["gen", "tree", "--depth", "2", "--branch", "3"], "1000001", 3),
+    (["gen", "tree", "--depth", "6", "--branch", "10"], "2000000", 3),
 ])
 def test_gen_output_size_is_capped_before_building(capsys, argv, cap, code):
     # The default cap is errors.GRAPH_MAX_VERTICES; --cap-nodes replaces
-    # it. Each count is checked before the graph is built, so the tree of
+    # it but may not exceed it, since parse_graph refuses larger headers
+    # and gen must not write a graph no command reads back. Each count is checked before the graph is built, so the tree of
     # 11,111,111 vertices is refused at once.  A half-graph's edges and
     # gen random's pair scan stop at errors.GRAPH_MAX_PAIRS: order 2236
     # has 2,500,966 edges and n = 2237 has 2,500,966 pairs.

@@ -186,6 +186,13 @@ class TestNearCovered:
         with pytest.raises(ScaleExceeded):
             near_covered_check(g, 0, 1, cap_nodes=2)
 
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_pair_cap_applies_in_both_modes(self, exact):
+        # Both modes build NT_k(g) with neartwin_graph, which refuses the
+        # 2,500,966 pairs of n = 2237 before its scan.
+        with pytest.raises(ScaleExceeded, match="neartwin_graph"):
+            near_covered_check(make_graph(2237), 0, 1, exact=exact)
+
 
 class TestLocallyNearCovered:
     def test_cycle_small_balls(self):

@@ -79,6 +79,23 @@ class TestView:
         with pytest.raises(ValueError):
             neartwin_view(complete_graph(4), -1)
 
+    def test_pair_cap_reaches_every_caller(self):
+        # n = 2237 has 2,500,966 > GRAPH_MAX_PAIRS vertex pairs; every
+        # function that builds NT_k(g) refuses it before the scan.  Vertex
+        # 0's 100 extra neighbours let the pair (0, 1) pass the extraction
+        # precondition, so it reaches nt_path.
+        g = make_graph(2237, [(0, v) for v in range(2, 102)])
+        calls = [
+            lambda: neartwin_graph(g, 0),
+            lambda: neartwin_view(g, 0),
+            lambda: nt_path(g, 0, 0, 1),
+            lambda: extract_halfgraph_for_pair(g, 0, 1, 0, 1),
+        ]
+        for call in calls:
+            with pytest.raises(ScaleExceeded, match="neartwin_graph"):
+                call()
+        assert nt_path(g, 0, 5, 5) == [5]
+
     def test_monotone_in_k(self):
         for g in seeded_random_graphs(10, 9, 61):
             prev = set()
