@@ -23,22 +23,32 @@ _EXPORTS = {
         "parse_formula",
         "recovery_interpretation",
     ),
+    "generators": (
+        "gen_halfgraph",
+        "gen_random",
+        "gen_tree",
+        "subdivide",
+    ),
     "graph": (
         "Embedding",
         "Graph",
         "ParseError",
         "closed_ball",
         "flip",
-        "gen_halfgraph",
-        "gen_random",
-        "gen_tree",
         "induced",
         "make_graph",
         "parse_graph",
         "s_flip",
         "s_flip_classes",
-        "subdivide",
         "write_graph",
+    ),
+    "halfgraph": (
+        "HalfgraphWitness",
+        "extract_halfgraph",
+        "find_halfgraph",
+        "g_bound",
+        "h_bound",
+        "validate_halfgraph",
     ),
     "labd": (
         "ClassSpec",
@@ -49,16 +59,10 @@ _EXPORTS = {
         "parse_param_function",
     ),
     "neartwin": (
-        "HalfgraphWitness",
         "component_partition",
-        "extract_halfgraph",
-        "find_halfgraph",
-        "g_bound",
-        "h_bound",
         "neartwin_graph",
         "neartwin_view",
         "symdiff",
-        "validate_halfgraph",
     ),
     "ranking": (
         "RankAssignment",

@@ -20,17 +20,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import GRAPH_MAX_PAIRS, GRAPH_MAX_VERTICES, ScaleExceeded
-from .graph import (
-    Graph,
-    ParseError,
-    gen_halfgraph,
-    gen_random,
-    gen_tree,
-    parse_graph,
-    subdivide,
-    tree_order,
-    write_graph,
-)
+from .graph import Graph, ParseError, parse_graph, write_graph
 
 # Each command imports the library modules it calls, so a process loads
 # only what its command reaches.
@@ -185,6 +175,8 @@ def _check_order(n: int, cap: int, pairs: int = 0) -> None:
 
 
 def _cmd_gen(args, _: None) -> tuple[str, int]:
+    from .generators import gen_halfgraph, gen_random, gen_tree, subdivide, tree_order
+
     # The output's vertex count is checked before anything is built: a
     # tree grows by the branching per level, and subdividing each edge R
     # times adds R vertices per edge.  Half-graph edges and the pairs gen
@@ -269,9 +261,9 @@ def _cmd_neartwin(args, g: Graph) -> tuple[str, int]:
 
 
 def _cmd_halfgraph(args, g: Graph) -> tuple[str, int]:
-    from . import neartwin
+    from . import halfgraph
 
-    wit = neartwin.find_halfgraph(g, args.t, **_cap("cap_nodes", args.cap_nodes))
+    wit = halfgraph.find_halfgraph(g, args.t, **_cap("cap_nodes", args.cap_nodes))
     if wit is None:
         return "absent\n", EXIT_FALSE
     return f"u {' '.join(map(str, wit.u))}\nw {' '.join(map(str, wit.w))}\n", EXIT_OK
@@ -280,8 +272,8 @@ def _cmd_halfgraph(args, g: Graph) -> tuple[str, int]:
 # bounds flag, its comma-separated form, and the module and name of the
 # bound it evaluates (looked up only when the flag is given).
 _BOUNDS = (
-    ("g", "c,k,t", "neartwin", "g_bound"),
-    ("h", "k,t", "neartwin", "h_bound"),
+    ("g", "c,k,t", "halfgraph", "g_bound"),
+    ("h", "k,t", "halfgraph", "h_bound"),
     ("no-ladder", "k2,m2", "labd", "no_ladder_bound"),
     ("m-prime", "d,r,m", "shallow", "m_prime"),
 )
@@ -395,6 +387,8 @@ def _cmd_sflip(args, g: Graph) -> tuple[str, int]:
 
 def _cmd_corpus(args, _: None) -> tuple[None, int]:
     import json
+
+    from .generators import gen_halfgraph, gen_random, gen_tree, subdivide
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

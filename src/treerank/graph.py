@@ -1,4 +1,4 @@
-"""Core graph type, text I/O, generators, and edge-flip primitives.
+"""Core graph type, text I/O, and edge-flip primitives.
 
 Graphs are finite, simple, and undirected, with dense integer vertex ids
 0..n-1 and optional named unary predicates (vertex label sets).  All
@@ -16,7 +16,6 @@ Text format (line oriented, UTF-8, '#' starts a comment):
 
 from __future__ import annotations
 
-import random
 from functools import cached_property
 from typing import AbstractSet, Iterable, Mapping, Optional
 
@@ -156,14 +155,24 @@ def make_graph(
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
-    adj: list[set[int]] = [set() for _ in range(n)]
+    # A row is made on its vertex's first edge; untouched vertices share
+    # one empty frozenset.
+    adj: list[Optional[set[int]]] = [None] * n
     for u, v in edges:
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-        adj[u].add(v)
-        adj[v].add(u)
+        row = adj[u]
+        if row is None:
+            adj[u] = {v}
+        else:
+            row.add(v)
+        row = adj[v]
+        if row is None:
+            adj[v] = {u}
+        else:
+            row.add(u)
     preds: dict[str, frozenset[int]] = {}
     for name, vs in (predicates or {}).items():
         fs = frozenset(vs)
@@ -172,7 +181,8 @@ def make_graph(
                 raise ValueError(f"predicate {name!r} names vertex {v} out of range")
         if fs:
             preds[name] = fs
-    return Graph(n, tuple(frozenset(s) for s in adj), preds)
+    empty: frozenset[int] = frozenset()
+    return Graph(n, tuple([empty if row is None else frozenset(row) for row in adj]), preds)
 
 
 def parse_graph(text: str) -> Graph:
@@ -253,113 +263,14 @@ def parse_graph(text: str) -> Graph:
 def write_graph(g: Graph) -> str:
     """Serialize a Graph; parse_graph(write_graph(g)) == g."""
     lines = [f"p {g.n} {g.edge_count()}"]
-    for u, row in enumerate(g.adj):
-        prefix = f"e {u} "
-        lines.extend(prefix + str(v) for v in sorted([v for v in row if v > u]))
+    # One "e u " prefix per row, then each larger neighbor in order.
+    lines += [
+        f"{e_u}{v}" for u, row in enumerate(g.adj) for e_u in (f"e {u} ",) for v in sorted(row) if v > u
+    ]
     for name in sorted(g.predicates):
         members = " ".join(str(v) for v in sorted(g.predicates[name]))
         lines.append(f"l {name} {members}")
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Generators.  Vertex id layouts are fixed so corpora are reproducible:
-# trees use BFS order with root 0, half-graphs put the u-side first, and
-# subdivision vertices are appended after the original ids.
-
-
-def tree_children(d: int, m: int) -> list[list[int]]:
-    """Children lists of the complete rooted tree of depth d where every
-    non-leaf has m children.
-
-    Vertex 0 is the root; ids follow BFS (level) order, so level i spans
-    ids sum(m^j for j<i) .. sum(m^j for j<=i)-1 and the children of p
-    are m*p+1 .. m*p+m.
-    """
-    if d < 0 or m < 1:
-        raise ValueError("need depth >= 0 and branching >= 1")
-    internal = sum(m**i for i in range(d))
-    return [list(range(m * p + 1, m * p + m + 1)) for p in range(internal)] + [[] for _ in range(m**d)]
-
-
-def tree_order(d: int, m: int, limit: int) -> int:
-    """Vertex count of the tree_children(d, m) tree, or a count above limit
-    once the levels summed so far pass it, so a huge depth costs no more
-    than about log_m(limit) steps."""
-    if d < 0 or m < 1:
-        raise ValueError("need depth >= 0 and branching >= 1")
-    if m == 1:
-        return d + 1
-    nodes = level = 1
-    for _ in range(d):
-        level *= m
-        nodes += level
-        if nodes > limit:
-            break
-    return nodes
-
-
-def gen_tree(d: int, m: int) -> Graph:
-    """The tree_children(d, m) tree as a graph."""
-    children = tree_children(d, m)
-    return make_graph(len(children), [(p, c) for p, kids in enumerate(children) for c in kids])
-
-
-def subdivide(g: Graph, counts: Mapping[tuple[int, int], int] | int) -> Graph:
-    """Replace each edge uv by a path with counts(uv) fresh internal vertices.
-
-    counts may be a single int (applied to every edge) or a mapping keyed
-    by (min(u,v), max(u,v)).  New vertices get ids n, n+1, ... assigned in
-    sorted edge order, walking each path from the low endpoint.  Original
-    ids and predicates are unchanged.
-    """
-    edge_list = g.edges()
-    if isinstance(counts, int):
-        count_of = {e: counts for e in edge_list}
-    else:
-        count_of = {(min(u, v), max(u, v)): c for (u, v), c in counts.items()}
-        missing = [e for e in edge_list if e not in count_of]
-        if missing:
-            raise ValueError(f"no subdivision count for edge {missing[0]}")
-    edges: list[tuple[int, int]] = []
-    next_id = g.n
-    for u, v in edge_list:
-        c = count_of[(u, v)]
-        if c < 0:
-            raise ValueError("subdivision counts must be nonnegative")
-        prev = u
-        for _ in range(c):
-            edges.append((prev, next_id))
-            prev = next_id
-            next_id += 1
-        edges.append((prev, v))
-    return make_graph(next_id, edges, g.predicates)
-
-
-def gen_halfgraph(t: int) -> Graph:
-    """Half-graph of order t: u_i ~ w_j iff i <= j (1-based indices).
-
-    Ids 0..t-1 are u_1..u_t (predicate "U"), ids t..2t-1 are w_1..w_t
-    (predicate "W").  No edges inside either side.
-    """
-    if t < 1:
-        raise ValueError("order must be >= 1")
-    edges = [(i, t + j) for i in range(t) for j in range(t) if i <= j]
-    return make_graph(2 * t, edges, {"U": range(t), "W": range(t, 2 * t)})
-
-
-def gen_random(n: int, p: float, seed: int) -> Graph:
-    """Erdos-Renyi G(n, p), deterministic for a given seed.
-
-    Uses Python's Mersenne Twister (random.Random(seed)) and scans vertex
-    pairs (u, v), u < v, in lexicographic order, so corpora are stable
-    across runs and platforms.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("edge probability must be in [0, 1]")
-    rng = random.Random(seed)
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return make_graph(n, edges)
 
 
 # ---------------------------------------------------------------------------

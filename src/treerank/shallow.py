@@ -18,7 +18,8 @@ from functools import lru_cache
 from typing import Optional
 
 from .errors import BOUND_MAX_BITS, ScaleExceeded
-from .graph import Embedding, Graph, shortest_path, tree_children, tree_order, within_distance
+from .generators import tree_children, tree_order
+from .graph import Embedding, Graph, shortest_path, within_distance
 from .ranking import RankAssignment, compute_ranking
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterator, Mapping, Optional
 
 from .errors import ScaleExceeded
-from .graph import Graph, flip, record, relabel, s_flip, s_flip_classes
+from .graph import Graph, flip, record, s_flip, s_flip_classes
 from .neartwin import PartPartition, component_partition
 
 # Only sflip_driver verifies with labd; it imports it when called.
@@ -133,7 +133,9 @@ def recover_graph(g: Graph) -> tuple[Graph, dict[int, int]]:
 
     Only the rows of marked vertices change: a vertex marked `a` toggles
     its adjacency to each part whose apex is adjacent to `a`, and to its
-    own part when `a` is F-marked.  Cost: O(n + m_in + m_out).
+    own part when `a` is F-marked.  Rows are built in the output's ids,
+    and when the R vertices come last, as build_sparsifier's apexes do,
+    unmarked rows are the input's own.  Cost: O(n + m_in + m_out).
     """
     r_set = g.predicates.get("R", frozenset())
     f_set = g.predicates.get("F", frozenset())
@@ -155,14 +157,24 @@ def recover_graph(g: Graph) -> tuple[Graph, dict[int, int]]:
         )
         for a in r_set
     }
-    edges = []
+    # The rows are symmetric: x lies in toggle[my] exactly when y lies in
+    # toggle[mx], since each kept vertex has at most one mark and
+    # adjacency between marks is mutual.  x may enter its own row through
+    # toggle, and is dropped from it.
+    remap = {v: i for i, v in enumerate(keep)}
+    same_ids = not keep or keep[-1] == len(keep) - 1
+    rows = []
     for x in keep:
         mx = mark[x]
-        # x may enter its own row through toggle; y > x drops it.
-        row = g.adj[x] if mx is None else (g.adj[x] - r_set) ^ toggle[mx]
-        edges.extend((x, y) for y in row if y > x)
-    # Every R vertex is dropped and F lies in R, so relabel drops both marks.
-    return relabel(g, keep, edges)
+        row = g.adj[x] if mx is None else ((g.adj[x] - r_set) ^ toggle[mx]) - {x}
+        rows.append(row if same_ids else frozenset([remap[y] for y in row]))
+    # Every R vertex is dropped and F lies in R, so both marks go.
+    preds = {}
+    for name, vs in g.predicates.items():
+        kept = frozenset([remap[v] for v in vs if v in remap])
+        if kept:
+            preds[name] = kept
+    return Graph(len(keep), tuple(rows), preds), remap
 
 
 def recover(sg: SparsifiedGraph) -> Graph:

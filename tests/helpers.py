@@ -19,15 +19,8 @@ from itertools import combinations, permutations, product
 from typing import Iterable, Optional, Sequence
 
 from treerank.errors import ScaleExceeded
-from treerank.graph import (
-    Graph,
-    closed_ball,
-    gen_random,
-    induced,
-    make_graph,
-    shortest_path,
-    within_distance,
-)
+from treerank.generators import gen_random
+from treerank.graph import Graph, closed_ball, induced, make_graph, shortest_path, within_distance
 from treerank.labd import ParamFunction, near_covered_check
 from treerank.neartwin import PartPartition, symdiff
 from treerank.ranking import RankAssignment

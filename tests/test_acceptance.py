@@ -12,27 +12,18 @@ from itertools import product
 import pytest
 
 from treerank import fo
-from treerank.graph import (
-    closed_ball,
-    flip,
-    gen_halfgraph,
-    gen_random,
-    gen_tree,
-    make_graph,
-    shortest_path,
-    subdivide,
-)
-from treerank.labd import no_ladder_bound
-from treerank.neartwin import (
+from treerank.generators import gen_halfgraph, gen_random, gen_tree, subdivide
+from treerank.graph import closed_ball, flip, make_graph, shortest_path
+from treerank.halfgraph import (
     HalfgraphExtraction,
     extract_halfgraph_for_pair,
     find_halfgraph,
     g_bound,
     h_bound,
-    neartwin_view,
-    symdiff,
     validate_halfgraph,
 )
+from treerank.labd import no_ladder_bound
+from treerank.neartwin import neartwin_view, symdiff
 from treerank.ranking import (
     INF,
     SearchStats,

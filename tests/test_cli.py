@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treerank import cli, labd, neartwin, shallow, sparsify
-from treerank.graph import gen_random, gen_tree, make_graph, parse_graph, write_graph
-from treerank.neartwin import g_bound
+from treerank import cli, halfgraph, labd, shallow, sparsify
+from treerank.generators import gen_random, gen_tree
+from treerank.graph import make_graph, parse_graph, write_graph
+from treerank.halfgraph import g_bound
 from treerank.ranking import compute_ranking
 from treerank.sparsify import build_sparsifier
 
@@ -412,7 +413,7 @@ def test_scale_cap_exit_code(capsys, tmp_path):
 @pytest.mark.parametrize("argv, fn, param, flag", [
     (["certify", "--d", "2", "--m", "2", "--r", "1"],
      shallow.contains_shallow_tree, "cap_nodes", "--cap-nodes"),
-    (["halfgraph", "--t", "3"], neartwin.find_halfgraph, "cap_nodes", "--cap-nodes"),
+    (["halfgraph", "--t", "3"], halfgraph.find_halfgraph, "cap_nodes", "--cap-nodes"),
     (["near-covered", "--k", "1", "--m", "3", "--exact"],
      labd.near_covered_check, "cap_nodes", "--cap-nodes"),
     (["sflip-search", "--s", "1", "--k", "0", "--h", "1", "--f", "const:0", "--d", "const:1"],

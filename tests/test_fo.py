@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treerank import fo
-from treerank.graph import gen_halfgraph, gen_random, make_graph
+from treerank.generators import gen_halfgraph, gen_random
+from treerank.graph import make_graph
 from treerank.sparsify import build_sparsifier, recover
 
 from helpers import (

@@ -1,26 +1,24 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treerank.generators import gen_halfgraph, gen_random, gen_tree, subdivide, tree_order
 from treerank.graph import (
     Embedding,
     Graph,
     ParseError,
     closed_ball,
     flip,
-    gen_halfgraph,
-    gen_random,
-    gen_tree,
     induced,
     make_graph,
     parse_graph,
     s_flip,
     s_flip_classes,
-    subdivide,
-    tree_order,
     write_graph,
 )
-from treerank.neartwin import HalfgraphWitness
+from treerank.halfgraph import HalfgraphWitness
 from treerank.ranking import RankAssignment, SearchStats
 
 from helpers import bfs_distances, complete_graph, path_graph, star
@@ -81,6 +79,30 @@ class TestParse:
     def test_predicate_out_of_range(self):
         with pytest.raises(ParseError, match="out of range"):
             parse_graph("p 2 0\nl R 5")
+
+    def test_isolated_vertices_share_one_empty_row(self):
+        # One set and one frozenset per vertex took seconds at this size.
+        start = time.perf_counter()
+        g = parse_graph("p 1000000 0\n")
+        elapsed = time.perf_counter() - start
+        assert g.n == 1_000_000 and g.edge_count() == 0 and g.adj[999_999] == frozenset()
+        assert elapsed < 1.0, elapsed
+
+    @settings(max_examples=80)
+    @given(st.integers(min_value=0, max_value=8),
+           st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=24))
+    def test_rows_equal_one_set_per_vertex(self, n, pairs):
+        # Repeated pairs, in either order, are kept: make_graph merges them.
+        edges = [(u, v) for u, v in pairs if u != v and u < n and v < n]
+        rows = [set() for _ in range(n)]
+        for u, v in edges:
+            rows[u].add(v)
+            rows[v].add(u)
+        want = Graph(n, tuple(frozenset(row) for row in rows), {})
+        assert make_graph(n, edges) == want
+        unique = sorted({(min(u, v), max(u, v)) for u, v in edges})
+        text = f"p {n} {len(unique)}\n" + "".join(f"e {v} {u}\n" for u, v in unique)
+        assert parse_graph(text) == want
 
 
 class TestWrite:

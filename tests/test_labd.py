@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treerank.errors import ScaleExceeded
-from treerank.graph import gen_halfgraph, gen_random, make_graph
+from treerank.generators import gen_halfgraph, gen_random
+from treerank.graph import make_graph
+from treerank.halfgraph import find_halfgraph
 from treerank.labd import (
     ClassSpec,
     ParamFunction,
@@ -18,7 +20,6 @@ from treerank.labd import (
     parse_param_function,
     table_fn,
 )
-from treerank.neartwin import find_halfgraph
 from treerank.ranking import compute_ranking
 
 from helpers import (

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from treerank.errors import ScaleExceeded
-from treerank.graph import gen_halfgraph, gen_random, make_graph
-from treerank.neartwin import (
+from treerank.generators import gen_halfgraph, gen_random
+from treerank.graph import make_graph
+from treerank.halfgraph import (
     ExtractionFailure,
     HalfgraphExtraction,
     HalfgraphWitness,
@@ -13,12 +14,10 @@ from treerank.neartwin import (
     find_halfgraph,
     g_bound,
     h_bound,
-    neartwin_graph,
-    neartwin_view,
     nt_path,
-    symdiff,
     validate_halfgraph,
 )
+from treerank.neartwin import neartwin_graph, neartwin_view, symdiff
 
 from helpers import (
     complete_bipartite,

@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 
 import treerank
-from treerank.graph import gen_tree, write_graph
+from treerank.generators import gen_tree
+from treerank.graph import write_graph
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -24,13 +25,14 @@ PUBLIC = {
     "errors": ["ScaleExceeded"],
     "fo": ["Interpretation", "apply_interpretation", "check_range", "evaluate",
            "format_formula", "parse_formula", "recovery_interpretation"],
-    "graph": ["Embedding", "Graph", "ParseError", "closed_ball", "flip", "gen_halfgraph",
-              "gen_random", "gen_tree", "induced", "make_graph", "parse_graph", "s_flip",
-              "s_flip_classes", "subdivide", "write_graph"],
+    "generators": ["gen_halfgraph", "gen_random", "gen_tree", "subdivide"],
+    "graph": ["Embedding", "Graph", "ParseError", "closed_ball", "flip", "induced",
+              "make_graph", "parse_graph", "s_flip", "s_flip_classes", "write_graph"],
+    "halfgraph": ["HalfgraphWitness", "extract_halfgraph", "find_halfgraph", "g_bound",
+                  "h_bound", "validate_halfgraph"],
     "labd": ["ClassSpec", "ParamFunction", "labd_check", "near_covered_check",
              "no_ladder_bound", "parse_param_function"],
-    "neartwin": ["HalfgraphWitness", "extract_halfgraph", "find_halfgraph", "g_bound",
-                 "h_bound", "neartwin_graph", "neartwin_view", "symdiff", "validate_halfgraph"],
+    "neartwin": ["neartwin_graph", "neartwin_view", "symdiff"],
     "ranking": ["RankAssignment", "compute_ranking", "rank_order", "separator_search"],
     "shallow": ["contains_shallow_tree", "extract_shallow_tree", "m_prime",
                 "validate_embedding", "w_count"],
@@ -94,7 +96,9 @@ _BASE = ["treerank", "treerank.errors", "treerank.graph"]
     (["sparsify", "--k", "1", "--h", "1"], ["treerank.neartwin", "treerank.sparsify"]),
     (["recover"], ["treerank.neartwin", "treerank.sparsify"]),
     (["neartwin", "--k", "1"], ["treerank.neartwin"]),
-    (["gen", "tree", "--depth", "1", "--branch", "2"], []),
+    (["halfgraph", "--t", "1"], ["treerank.halfgraph", "treerank.neartwin"]),
+    (["bounds", "--g", "1,1,2"], ["treerank.halfgraph", "treerank.neartwin"]),
+    (["gen", "tree", "--depth", "1", "--branch", "2"], ["treerank.generators"]),
 ])
 def test_cli_command_loads_only_what_it_calls(tmp_path, argv, extra):
     # The command runs as `python -m treerank.cli` does (as __main__, so

@@ -5,7 +5,8 @@ import time
 import pytest
 
 from treerank.errors import ScaleExceeded
-from treerank.graph import closed_ball, gen_random, gen_tree, make_graph
+from treerank.generators import gen_random, gen_tree
+from treerank.graph import closed_ball, make_graph
 from treerank.ranking import (
     INF,
     SearchStats,

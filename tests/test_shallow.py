@@ -4,7 +4,8 @@ import tracemalloc
 import pytest
 
 from treerank.errors import ScaleExceeded
-from treerank.graph import Embedding, gen_random, gen_tree, make_graph, subdivide, tree_children
+from treerank.generators import gen_random, gen_tree, subdivide, tree_children
+from treerank.graph import Embedding, make_graph
 from treerank.ranking import compute_ranking
 from treerank.shallow import (
     contains_shallow_tree,

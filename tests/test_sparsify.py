@@ -2,16 +2,18 @@ import math
 import random
 import time
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treerank.errors import ScaleExceeded
-from treerank.graph import gen_halfgraph, gen_random, gen_tree, make_graph
+from treerank.generators import gen_halfgraph, gen_random, gen_tree
+from treerank.graph import make_graph
+from treerank.halfgraph import h_bound
 from treerank.labd import ClassSpec, const_fn, no_ladder_bound
-from treerank.neartwin import h_bound, symdiff
+from treerank.neartwin import symdiff
 from treerank.sparsify import (
     RecoverError,
     build_sparsifier,
@@ -78,6 +80,45 @@ def mixed_degree_graph(n: int, seed: int):
     return make_graph(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
 
 
+def planted_blocks(n: int, block: int, seed: int):
+    """The roundtrip benchmark's shape: G(n, 2/n) with a complemented pair
+    of random blocks and one complemented block, at k = 2*maxdeg+2 of the
+    base.  Returns (graph, k)."""
+    base = sparse_graph(n, n, seed)
+    chosen = random.Random(seed).sample(range(n), 3 * block)
+    a, b, c = chosen[:block], chosen[block : 2 * block], chosen[2 * block :]
+    edges = set(base.edges())
+    edges ^= {(min(x, y), max(x, y)) for x, y in [*product(a, b), *combinations(c, 2)]}
+    return make_graph(n, edges), 2 * max(base.degree(v) for v in range(n)) + 2
+
+
+def pooled_copies(n: int, k: int, seed: int):
+    """G(n, 4/n) plus, for each vertex u of degree k+1..2k, a new vertex
+    joined to k of u's neighbors, ids shuffled.  With an isolated vertex
+    present the copy is pooled, u is not, and they are k-near-twins."""
+    g = gen_random(n, 4 / n, seed)
+    edges = g.edges()
+    size = n
+    for u in range(n):
+        if k < g.degree(u) <= 2 * k:
+            edges += [(w, size) for w in sorted(g.adj[u])[:k]]
+            size += 1
+    ids = list(range(size + 1))  # one more isolated vertex
+    random.Random(seed).shuffle(ids)
+    return make_graph(size + 1, [(ids[u], ids[v]) for u, v in edges])
+
+
+def pooled_below_unpooled(g, k: int) -> int:
+    """Near-twin pairs of a pooled vertex and an unpooled one with a
+    larger id: the pairs only the pooled-candidate test reaches."""
+    low = min(g.degree(v) for v in range(g.n))
+    pooled = [g.degree(v) + low <= k for v in range(g.n)]
+    return sum(
+        1 for v, u in combinations(range(g.n), 2)
+        if pooled[v] and not pooled[u] and symdiff(g, u, v) <= k
+    )
+
+
 class TestComponentPartition:
     def test_complete_bipartite_sides(self):
         p = component_partition(complete_bipartite(7, 7), 0)
@@ -142,6 +183,30 @@ class TestComponentPartition:
             finally:
                 tracemalloc.stop()
             assert peak < 10_000_000, (k, peak)
+
+    def test_pooled_near_twin_on_either_side_of_an_unpooled_vertex(self):
+        # At k = 2 with an isolated vertex, 0 is pooled (degree 2) and 4 is
+        # not (degree 3); they differ only in 3, and no other pair links 4
+        # to the pool.  Reversing the ids puts the pooled vertex above.
+        edges = [(4, 1), (4, 2), (4, 3), (0, 1), (0, 2)]
+        for g in (make_graph(6, edges), make_graph(6, [(5 - u, 5 - v) for u, v in edges])):
+            assert nt_components_allpairs(g, 2) == (tuple(range(6)),)
+            assert component_partition(g, 2).parts == (tuple(range(6)),)
+        assert pooled_below_unpooled(make_graph(6, edges), 2) == 1
+
+    def test_pooled_candidates_match_oracle(self):
+        # The roundtrip shape pools all but its blocks; the copies put
+        # pooled near-twins below and above unpooled vertices.
+        for seed in (5, 6, 7):
+            g, k = planted_blocks(300, 40, seed)
+            assert component_partition(g, k).parts == nt_components_allpairs(g, k), seed
+        below = 0
+        for seed in range(8):
+            for k in (4, 5, 6):
+                g = pooled_copies(120, k, seed)
+                assert component_partition(g, k).parts == nt_components_allpairs(g, k), (seed, k)
+                below += pooled_below_unpooled(g, k)
+        assert below > 20, below
 
     def test_low_degree_pooling(self):
         g = disjoint_union(make_graph(3), path_graph(2), star(1))
