@@ -19,8 +19,6 @@ _EXPORTS = {
         "apply_interpretation",
         "check_range",
         "evaluate",
-        "format_formula",
-        "parse_formula",
         "recovery_interpretation",
     ),
     "generators": (
@@ -33,9 +31,7 @@ _EXPORTS = {
         "Embedding",
         "Graph",
         "ParseError",
-        "closed_ball",
         "flip",
-        "induced",
         "make_graph",
         "parse_graph",
         "s_flip",

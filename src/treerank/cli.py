@@ -167,11 +167,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
 
-def _check_order(n: int, cap: int, pairs: int = 0) -> None:
+def _check_order(n: int, cap: int, pairs: int = 0, op: str = "gen") -> None:
     if n > cap:
-        raise ScaleExceeded("gen", f"output would have more than {cap} vertices")
+        raise ScaleExceeded(op, f"output would have more than {cap} vertices")
     if pairs > GRAPH_MAX_PAIRS:
-        raise ScaleExceeded("gen", f"{pairs} vertex pairs to build or scan, over {GRAPH_MAX_PAIRS}")
+        raise ScaleExceeded(op, f"{pairs} vertex pairs to build or scan, over {GRAPH_MAX_PAIRS}")
 
 
 def _cmd_gen(args, _: None) -> tuple[str, int]:
@@ -390,6 +390,16 @@ def _cmd_corpus(args, _: None) -> tuple[None, int]:
 
     from .generators import gen_halfgraph, gen_random, gen_tree, subdivide
 
+    def order(i: int) -> int:
+        return 2 + (args.seed + i) % max(1, args.max_n - 1)
+
+    # The largest half-graph and random graph pass gen's caps before
+    # anything is written; the trees are fixed and small.
+    fam = args.family
+    t = args.max_t if fam in ("halfgraph", "mixed") else 0
+    n = max(map(order, range(args.count)), default=0) if fam in ("random", "mixed") else 0
+    _check_order(2 * t, GRAPH_MAX_VERTICES, max(t, 0) * (t + 1) // 2, "corpus")
+    _check_order(n, GRAPH_MAX_VERTICES, n * (n - 1) // 2, "corpus")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -399,7 +409,6 @@ def _cmd_corpus(args, _: None) -> tuple[None, int]:
         (out_dir / fname).write_text(write_graph(g))
         entries.append({"file": fname, **params})
 
-    fam = args.family
     if fam in ("trees", "mixed"):
         for d in range(1, 4):
             for m in range(1, 4):
@@ -411,7 +420,7 @@ def _cmd_corpus(args, _: None) -> tuple[None, int]:
             add(f"halfgraph-t{t}", gen_halfgraph(t), family="halfgraph", t=t)
     if fam in ("random", "mixed"):
         for i in range(args.count):
-            n = 2 + (args.seed + i) % max(1, args.max_n - 1)
+            n = order(i)
             p = 0.1 + 0.8 * ((i * 37 % 100) / 100.0)
             g = gen_random(n, p, args.seed + i)
             add(f"random-{i:03d}", g, family="random", n=n, p=round(p, 3),

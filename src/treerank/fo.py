@@ -1,22 +1,18 @@
 """Minimal first-order logic over the graph signature plus unary predicates.
 
-Formulas are a small immutable AST.  Each is compiled once into nested
-closures that enumerate quantified variables over all vertices, except
-that an existential over a conjunction ranges over its first guard
-conjunct (as in the guarded fragment): `(P name v)` limits v to the
-predicate's vertices, and `(E v u)` or `(E u v)` with u another bound
-variable to u's neighbors.  The bound variables are known statically,
-so each guard is chosen at compile time.  Values outside the guard
-falsify the conjunction, so restricting the range never changes a
-truth value.
-
-Serialization is a prefix s-expression:
-
-    formula := (E x y) | (P <name> x) | (= x y) | true | false
-             | (not f) | (and f f ...) | (or f f ...)
-             | (exists v f) | (forall v f)
-
-Variables and predicate names are bare symbols.
+Formulas are a small immutable AST built from this module's
+constructors: atoms `Edge(x, y)`, `Pred(name, x)`, `Eq(x, y)` and
+`Const(value)`, connectives `Not`, `And` and `Or` (or `conj(...)` and
+`disj(...)`), and quantifiers `Exists(v, f)` and `Forall(v, f)`, with
+variables and predicate names as strings.  Each formula is compiled once
+into nested closures that enumerate quantified variables over all
+vertices, except that an existential over a conjunction ranges over its
+first guard conjunct (as in the guarded fragment): `Pred(name, v)`
+limits v to the predicate's vertices, and `Edge(v, u)` or `Edge(u, v)`
+with u another bound variable to u's neighbors.  The bound variables
+are known statically, so each guard is chosen at compile time.  Values
+outside the guard falsify the conjunction, so restricting the range
+never changes a truth value.
 """
 
 from __future__ import annotations
@@ -79,10 +75,6 @@ class Forall:
 
 Formula = Union[Edge, Pred, Eq, Const, Not, And, Or, Exists, Forall]
 
-TRUE = Const(True)
-FALSE = Const(False)
-
-
 def conj(*parts: Formula) -> Formula:
     return And(tuple(parts))
 
@@ -92,9 +84,7 @@ def disj(*parts: Formula) -> Formula:
 
 
 def free_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, Edge):
-        return frozenset((f.x, f.y))
-    if isinstance(f, Eq):
+    if isinstance(f, (Edge, Eq)):
         return frozenset((f.x, f.y))
     if isinstance(f, Pred):
         return frozenset((f.x,))
@@ -292,89 +282,3 @@ def recovery_interpretation() -> Interpretation:
     delta = Not(Pred("R", "x"))
     return Interpretation(psi, delta)
 
-
-# ---------------------------------------------------------------------------
-# S-expression serialization.
-
-
-def format_formula(f: Formula) -> str:
-    if isinstance(f, Edge):
-        return f"(E {f.x} {f.y})"
-    if isinstance(f, Pred):
-        return f"(P {f.name} {f.x})"
-    if isinstance(f, Eq):
-        return f"(= {f.x} {f.y})"
-    if isinstance(f, Const):
-        return "true" if f.value else "false"
-    if isinstance(f, Not):
-        return f"(not {format_formula(f.f)})"
-    if isinstance(f, And):
-        return "(and " + " ".join(format_formula(p) for p in f.parts) + ")"
-    if isinstance(f, Or):
-        return "(or " + " ".join(format_formula(p) for p in f.parts) + ")"
-    if isinstance(f, Exists):
-        return f"(exists {f.var} {format_formula(f.f)})"
-    if isinstance(f, Forall):
-        return f"(forall {f.var} {format_formula(f.f)})"
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def parse_formula(text: str) -> Formula:
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    if not tokens:
-        raise ValueError("empty formula")
-    f, rest = _parse(tokens)
-    if rest:
-        raise ValueError(f"trailing tokens: {rest[:3]}")
-    return f
-
-
-def _parse(tokens: list[str]) -> tuple[Formula, list[str]]:
-    tok = tokens[0]
-    if tok == "true":
-        return TRUE, tokens[1:]
-    if tok == "false":
-        return FALSE, tokens[1:]
-    if tok != "(":
-        raise ValueError(f"expected '(' or constant, got {tok!r}")
-    if len(tokens) < 2:
-        raise ValueError("unterminated expression")
-    head, rest = tokens[1], tokens[2:]
-    if head in ("E", "="):
-        x, y = _take_symbols(rest, 2)
-        rest = _expect_close(rest[2:])
-        return (Edge(x, y) if head == "E" else Eq(x, y)), rest
-    if head == "P":
-        name, x = _take_symbols(rest, 2)
-        rest = _expect_close(rest[2:])
-        return Pred(name, x), rest
-    if head == "not":
-        f, rest = _parse(rest)
-        return Not(f), _expect_close(rest)
-    if head in ("and", "or"):
-        parts = []
-        while rest and rest[0] != ")":
-            p, rest = _parse(rest)
-            parts.append(p)
-        if not parts:
-            raise ValueError(f"empty {head!r}")
-        rest = _expect_close(rest)
-        return (And(tuple(parts)) if head == "and" else Or(tuple(parts))), rest
-    if head in ("exists", "forall"):
-        (var,) = _take_symbols(rest, 1)
-        f, rest = _parse(rest[1:])
-        rest = _expect_close(rest)
-        return (Exists(var, f) if head == "exists" else Forall(var, f)), rest
-    raise ValueError(f"unknown operator {head!r}")
-
-
-def _take_symbols(tokens: list[str], k: int) -> tuple[str, ...]:
-    if len(tokens) < k or any(t in "()" for t in tokens[:k]):
-        raise ValueError("expected symbol arguments")
-    return tuple(tokens[:k])
-
-
-def _expect_close(tokens: list[str]) -> list[str]:
-    if not tokens or tokens[0] != ")":
-        raise ValueError("expected ')'")
-    return tokens[1:]

@@ -277,20 +277,6 @@ def write_graph(g: Graph) -> str:
 # Neighborhoods, flips, and subgraphs.
 
 
-def closed_ball(g: Graph, v: int, r: int, forbidden: frozenset[int] = frozenset()) -> frozenset[int]:
-    """Vertices reachable from v by a path of at most r edges, including v.
-
-    Vertices in `forbidden` are treated as deleted (and v must not be one).
-    """
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} out of range")
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    if v in forbidden:
-        raise ValueError("ball center is deleted")
-    return frozenset(within_distance(g, [v], r, forbidden))
-
-
 def within_distance(
     g: Graph,
     centers: list[int],
@@ -299,8 +285,7 @@ def within_distance(
 ) -> set[int]:
     """Vertices at distance <= r from some center in g minus `forbidden`.
 
-    One multi-source BFS.  The centers are included as given, without
-    the range checks closed_ball makes on its single center.
+    One multi-source BFS.  The centers are included as given, unchecked.
     """
     seen = set(centers)
     frontier = centers
@@ -425,18 +410,6 @@ def relabel(g: Graph, keep: Iterable[int], edges: Iterable[tuple[int, int]]) -> 
     remap = {v: i for i, v in enumerate(sorted(keep))}
     preds = {name: [remap[v] for v in vs if v in remap] for name, vs in g.predicates.items()}
     return make_graph(len(remap), ((remap[u], remap[v]) for u, v in edges), preds), remap
-
-
-def induced(g: Graph, x: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """Induced subgraph on X with ids remapped densely (sorted order).
-
-    Returns (subgraph, mapping) where mapping sends old ids to new ids.
-    """
-    keep = frozenset(x)
-    for v in sorted(keep):
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} out of range")
-    return relabel(g, keep, [(u, v) for u, v in g.edges() if u in keep and v in keep])
 
 
 @record

@@ -61,18 +61,6 @@ class ParamFunction:
         return v if v <= n else None
 
 
-def const_fn(c: int) -> ParamFunction:
-    return ParamFunction("const", (c,))
-
-
-def linear_fn(a: int, b: int) -> ParamFunction:
-    return ParamFunction("linear", (a, b))
-
-
-def table_fn(values: Mapping[int, Optional[int]]) -> ParamFunction:
-    return ParamFunction("table", (), dict(values))
-
-
 def parse_param_function(spec: str) -> ParamFunction:
     """Parse the mini-language: const:5 | linear:a,b | exp2 | tower | table:{...}.
 
@@ -92,8 +80,8 @@ def parse_param_function(spec: str) -> ParamFunction:
             if isinstance(raw, dict) and all(
                 v is None or (type(v) is int and v >= 0) for v in raw.values()
             ):
-                return table_fn({int(k): v for k, v in raw.items()})
-    except ValueError:
+                return ParamFunction("table", (), {int(k): v for k, v in raw.items()})
+    except (ValueError, RecursionError):  # json.loads on deeply nested input
         pass
     raise ValueError(
         f"bad parameter function spec {spec!r}: expected const:N, linear:A,B, "
@@ -178,7 +166,8 @@ def near_covered_check(
     choice: its False verdicts are sound, its True verdicts heuristic
     (flagged by exact=False in the result).  Both modes build NT_k(g)
     with neartwin_graph, so both raise ScaleExceeded when g has more than
-    GRAPH_MAX_PAIRS vertex pairs.
+    GRAPH_MAX_PAIRS vertex pairs; exact mode raises it too when the search
+    outgrows cap_nodes or recurses past the interpreter's recursion limit.
     """
     if k < 0 or m < 0:
         raise ValueError("need k >= 0 and m >= 0")
@@ -214,8 +203,11 @@ def near_covered_check(
             chosen.pop()
         return False
 
-    if grow(0):
-        return NearCoveredResult(False, True, tuple(chosen))
+    try:
+        if grow(0):
+            return NearCoveredResult(False, True, tuple(chosen))
+    except RecursionError:
+        raise ScaleExceeded("near_covered_check", "search deeper than the recursion limit") from None
     return NearCoveredResult(True, True)
 
 

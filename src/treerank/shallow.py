@@ -111,7 +111,8 @@ def contains_shallow_tree(
 
     Root candidates are tried in id order; tree edges are realized in DFS
     preorder, enumerating candidate paths lexicographically.  Aborts with
-    ScaleExceeded when the backtracking tree outgrows cap_nodes.  Returns
+    ScaleExceeded when the backtracking tree outgrows cap_nodes or
+    recurses past the interpreter's recursion limit.  Returns
     None at once when the pattern has more nodes than g has vertices,
     counted by `tree_order`, which stops once the count passes g.n.
     """
@@ -127,7 +128,6 @@ def contains_shallow_tree(
             edge_seq.append((node, c))
             collect(c)
 
-    collect(0)
     budget = cap_nodes
     principal: dict[int, int] = {}
     paths: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -159,14 +159,18 @@ def contains_shallow_tree(
             del principal[child]
         return False
 
-    for root in range(g.n):
-        if g.degree(root) < len(children[0]):
-            continue
-        principal[0] = root
-        used.add(root)
-        if realize(0):
-            return Embedding(dict(principal), dict(paths))
-        used.remove(root)
+    try:
+        collect(0)
+        for root in range(g.n):
+            if g.degree(root) < len(children[0]):
+                continue
+            principal[0] = root
+            used.add(root)
+            if realize(0):
+                return Embedding(dict(principal), dict(paths))
+            used.remove(root)
+    except RecursionError:
+        raise ScaleExceeded("contains_shallow_tree", "search deeper than the recursion limit") from None
     return None
 
 
@@ -217,17 +221,14 @@ def extract_shallow_tree(
         raise ValueError(f"vertex {v} has rank {ra.ranks[v]}, need more than {d}")
     cache: dict[int, RankAssignment] = {mp: ra}
     temb = _extract(g, v, d, m, r, cache)
-    return _freeze(temb, d, m)
-
-
-def _ranking_for(g: Graph, r: int, mval: int, cache: dict[int, RankAssignment]) -> RankAssignment:
-    if mval not in cache:
-        cache[mval] = compute_ranking(g, r, mval)
-    return cache[mval]
+    return _freeze(temb)
 
 
 def _extract(g: Graph, v: int, d: int, m: int, r: int, cache: dict[int, RankAssignment]) -> TreeEmb:
-    ra = _ranking_for(g, r, m_prime(d, r, m), cache)
+    mp = m_prime(d, r, m)
+    if mp not in cache:
+        cache[mp] = compute_ranking(g, r, mp)
+    ra = cache[mp]
     if not ra.ranks[v] > d:
         raise RuntimeError(f"rank guarantee failed at vertex {v} (d={d})")
     if d == 1:
@@ -254,9 +255,7 @@ def _extract(g: Graph, v: int, d: int, m: int, r: int, cache: dict[int, RankAssi
         paths.append(path)
         blocked.update(path[1:])
 
-    forbidden: set[int] = set()
-    for p in paths:
-        forbidden.update(p)
+    forbidden: set[int] = set().union(*paths)
     out: list = []
     for path in paths:
         u = path[-1]
@@ -297,7 +296,7 @@ def _truncate(temb: TreeEmb, m: int) -> TreeEmb:
     return (root, [(path, _truncate(sub, m)) for path, sub in kids[:m]])
 
 
-def _freeze(temb: TreeEmb, d: int, m: int) -> Embedding:
+def _freeze(temb: TreeEmb) -> Embedding:
     """Relabel a nested extraction onto the BFS ids of the abstract tree."""
     principal: dict[int, int] = {}
     paths: dict[tuple[int, int], tuple[int, ...]] = {}

@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence
 
 from treerank.errors import ScaleExceeded
 from treerank.generators import gen_random
-from treerank.graph import Graph, closed_ball, induced, make_graph, shortest_path, within_distance
+from treerank.graph import Graph, make_graph, relabel, shortest_path, within_distance
 from treerank.labd import ParamFunction, near_covered_check
 from treerank.neartwin import PartPartition, symdiff
 from treerank.ranking import RankAssignment
@@ -166,6 +166,38 @@ def bfs_distances(g: Graph, source: int) -> dict[int, int]:
                 dist[w] = dist[u] + 1
                 order.append(w)
     return dist
+
+
+# ---------------------------------------------------------------------------
+# Checked ball and induced subgraph: the range-checked single-center
+# BFS and the subgraph on a vertex set, over the library's
+# within_distance and relabel.
+
+
+def closed_ball(g: Graph, v: int, r: int, forbidden: frozenset[int] = frozenset()) -> frozenset[int]:
+    """Vertices reachable from v by a path of at most r edges, including v.
+
+    Vertices in `forbidden` are treated as deleted (and v must not be one).
+    """
+    if not (0 <= v < g.n):
+        raise ValueError(f"vertex {v} out of range")
+    if r < 0:
+        raise ValueError("radius must be nonnegative")
+    if v in forbidden:
+        raise ValueError("ball center is deleted")
+    return frozenset(within_distance(g, [v], r, forbidden))
+
+
+def induced(g: Graph, x: Iterable[int]) -> tuple[Graph, dict[int, int]]:
+    """Induced subgraph on X with ids remapped densely (sorted order).
+
+    Returns (subgraph, mapping) where mapping sends old ids to new ids.
+    """
+    keep = frozenset(x)
+    for v in sorted(keep):
+        if not (0 <= v < g.n):
+            raise ValueError(f"vertex {v} out of range")
+    return relabel(g, keep, [(u, v) for u, v in g.edges() if u in keep and v in keep])
 
 
 # ---------------------------------------------------------------------------
@@ -798,8 +830,8 @@ def random_formula(rng: random.Random, depth: int, variables=("x", "y", "z")) ->
         lambda: fo.Edge(rng.choice(variables), rng.choice(variables)),
         lambda: fo.Eq(rng.choice(variables), rng.choice(variables)),
         lambda: fo.Pred(rng.choice(("R", "B")), rng.choice(variables)),
-        lambda: fo.TRUE,
-        lambda: fo.FALSE,
+        lambda: fo.Const(True),
+        lambda: fo.Const(False),
     ]
     if depth == 0:
         return rng.choice(atoms)()

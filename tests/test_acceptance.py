@@ -13,7 +13,7 @@ import pytest
 
 from treerank import fo
 from treerank.generators import gen_halfgraph, gen_random, gen_tree, subdivide
-from treerank.graph import closed_ball, flip, make_graph, shortest_path
+from treerank.graph import flip, make_graph, shortest_path
 from treerank.halfgraph import (
     HalfgraphExtraction,
     extract_halfgraph_for_pair,
@@ -36,6 +36,7 @@ from treerank.sparsify import build_sparsifier, recover
 
 from helpers import (
     backconnectivity,
+    closed_ball,
     complete_bipartite,
     complete_graph,
     cycle,

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treerank import cli, halfgraph, labd, shallow, sparsify
+from treerank import cli, generators, halfgraph, labd, shallow, sparsify
 from treerank.generators import gen_random, gen_tree
 from treerank.graph import make_graph, parse_graph, write_graph
 from treerank.halfgraph import g_bound
@@ -408,6 +408,42 @@ def test_scale_cap_exit_code(capsys, tmp_path):
     code = cli.main(["--input", str(src), "--cap-nodes", "3",
                      "certify", "--d", "2", "--m", "2", "--r", "2"])
     assert code == 3
+
+
+@pytest.mark.parametrize("g, argv, code", [
+    # grow recurses once per chosen vertex: 1,401 of the path's vertices.
+    (path_graph(1500), ["near-covered", "--k", "0", "--m", "1400", "--exact"], 3),
+    # realize recurses once per tree edge: 1,500 leaves of the star.
+    (make_graph(1600, [(0, v) for v in range(1, 1600)]),
+     ["certify", "--d", "1", "--m", "1500", "--r", "0"], 3),
+    # The JSON decoder recurses once per nesting level.
+    (path_graph(2), ["labd-check", "--f", "table:" + "[" * 100_000, "--d", "const:1"], 2),
+])
+def test_recursion_limit_is_a_scale_or_usage_error(capsys, tmp_path, g, argv, code):
+    src = tmp_path / "g.graph"
+    src.write_text(write_graph(g))
+    assert cli.main(["--input", str(src), *argv]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    # G(3999, 0.1) has 7,994,001 vertex pairs, the same graph `gen random` refuses.
+    ["--seed", "3997", "corpus", "--family", "random", "--count", "1", "--max-n", "4000"],
+    # The largest half-graph has 2,237 * 2,238 / 2 edges.
+    ["corpus", "--family", "mixed", "--max-t", "2237"],
+])
+def test_corpus_refuses_what_gen_refuses_before_writing(capsys, tmp_path, monkeypatch, argv):
+    def unreachable(*args):
+        raise AssertionError("corpus built a graph before checking the caps")
+
+    monkeypatch.setattr(generators, "gen_halfgraph", unreachable)
+    monkeypatch.setattr(generators, "gen_random", unreachable)
+    out = tmp_path / "corpus"
+    assert cli.main([*argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: corpus: scale cap exceeded")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, fn, param, flag", [

@@ -9,9 +9,7 @@ from treerank.graph import (
     Embedding,
     Graph,
     ParseError,
-    closed_ball,
     flip,
-    induced,
     make_graph,
     parse_graph,
     s_flip,
@@ -21,7 +19,7 @@ from treerank.graph import (
 from treerank.halfgraph import HalfgraphWitness
 from treerank.ranking import RankAssignment, SearchStats
 
-from helpers import bfs_distances, complete_graph, path_graph, star
+from helpers import bfs_distances, closed_ball, complete_graph, induced, path_graph, star
 
 
 @st.composite

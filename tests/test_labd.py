@@ -12,13 +12,10 @@ from treerank.halfgraph import find_halfgraph
 from treerank.labd import (
     ClassSpec,
     ParamFunction,
-    const_fn,
     labd_check,
-    linear_fn,
     near_covered_check,
     no_ladder_bound,
     parse_param_function,
-    table_fn,
 )
 from treerank.ranking import compute_ranking
 
@@ -35,12 +32,12 @@ from helpers import (
 
 class TestParamFunction:
     def test_const_and_overflow(self):
-        f = const_fn(5)
+        f = ParamFunction("const", (5,))
         assert f.eval(0, 10) == 5
         assert f.eval(3, 4) is None
 
     def test_linear(self):
-        f = linear_fn(2, 1)
+        f = ParamFunction("linear", (2, 1))
         assert f.eval(3, 100) == 7
 
     def test_exp2(self):
@@ -55,13 +52,14 @@ class TestParamFunction:
         assert f.eval(5, 10**6) is None
 
     def test_table_with_overflow_entries(self):
-        f = table_fn({0: 3, 1: None})
+        f = ParamFunction("table", (), {0: 3, 1: None})
         assert f.eval(0, 10) == 3
         assert f.eval(1, 10) is None
         assert f.eval(2, 10) is None  # missing radius counts as overflow
 
     def test_parse_roundtrip(self):
-        for spec, f in [("const:5", const_fn(5)), ("linear:2,1", linear_fn(2, 1)),
+        for spec, f in [("const:5", ParamFunction("const", (5,))),
+                        ("linear:2,1", ParamFunction("linear", (2, 1))),
                         ("exp2", ParamFunction("exp2")), ("tower", ParamFunction("tower"))]:
             assert parse_param_function(spec) == f
         with pytest.raises(ValueError):
@@ -70,7 +68,7 @@ class TestParamFunction:
     def test_parse_table(self):
         f = parse_param_function('table:{"0": 3, "2": null}')
         assert f.table == {0: 3, 2: None}
-        assert f == table_fn({0: 3, 2: None})
+        assert f == ParamFunction("table", (), {0: 3, 2: None})
 
     @pytest.mark.parametrize("spec", [
         "const:", "const:x", "linear:1", "linear:1,2,3", "linear:a,b",
@@ -86,7 +84,8 @@ class TestParamFunction:
     @given(st.integers(0, 8), st.integers(0, 50), st.integers(0, 50))
     def test_monotone_consistency_across_budgets(self, r, n1, n2):
         lo, hi = min(n1, n2), max(n1, n2)
-        for f in (const_fn(7), linear_fn(1, 2), parse_param_function("exp2")):
+        for f in (ParamFunction("const", (7,)), ParamFunction("linear", (1, 2)),
+                  parse_param_function("exp2")):
             v = f.eval(r, lo)
             if v is not None:
                 assert f.eval(r, hi) == v
@@ -94,34 +93,39 @@ class TestParamFunction:
 
 class TestLabdCheck:
     def test_regular_clique(self):
-        res = labd_check(complete_graph(4), ClassSpec(const_fn(0), const_fn(3)))
+        res = labd_check(complete_graph(4), ClassSpec(
+            ParamFunction("const", (0,)), ParamFunction("const", (3,))))
         assert res.ok
 
     def test_star_one_exception(self):
-        res = labd_check(star(6), ClassSpec(const_fn(1), const_fn(2)))
+        res = labd_check(star(6), ClassSpec(ParamFunction("const", (1,)),
+                                            ParamFunction("const", (2,))))
         assert res.ok
 
     def test_star_no_exceptions_fails_with_certificate(self):
-        res = labd_check(star(6), ClassSpec(const_fn(0), const_fn(2)))
+        res = labd_check(star(6), ClassSpec(ParamFunction("const", (0,)),
+                                            ParamFunction("const", (2,))))
         assert not res.ok
         r, v, offenders = res.certificate
         assert r == 0 and v == 0 and offenders == (0,)
 
     def test_overflowing_bounds_pass_trivially(self):
         g = star(6)
-        res = labd_check(g, ClassSpec(const_fn(10**9), const_fn(0)))
+        res = labd_check(g, ClassSpec(ParamFunction("const", (10**9,)),
+                                      ParamFunction("const", (0,))))
         assert res.ok  # f(r) > n at every radius, nothing checked
 
     def test_r_max_is_weaker(self):
         # degree bound violated only by counting at radius 2
         g = star(6)
-        spec = ClassSpec(table_fn({2: 0}), table_fn({2: 2}))
+        spec = ClassSpec(ParamFunction("table", (), {2: 0}), ParamFunction("table", (), {2: 2}))
         assert labd_check(g, spec, r_max=1).ok
         assert not labd_check(g, spec, r_max=2).ok
 
     def test_negative_r_max_is_rejected(self):
+        spec = ClassSpec(ParamFunction("const", (0,)), ParamFunction("const", (2,)))
         with pytest.raises(ValueError, match="r_max must be nonnegative"):
-            labd_check(star(6), ClassSpec(const_fn(0), const_fn(2)), r_max=-1)
+            labd_check(star(6), spec, r_max=-1)
 
     def test_certificates_match_the_distance_table(self):
         rng = random.Random(83)
@@ -143,7 +147,7 @@ class TestLabdCheck:
 
     def test_truncated_scan_keeps_memory_small(self):
         g = gen_random(800, 3 / 800, 87)
-        spec = ClassSpec(const_fn(10), const_fn(4))
+        spec = ClassSpec(ParamFunction("const", (10,)), ParamFunction("const", (4,)))
         tracemalloc.start()
         try:
             res = labd_check(g, spec, r_max=1)
@@ -197,19 +201,22 @@ class TestNearCovered:
 
 class TestLocallyNearCovered:
     def test_cycle_small_balls(self):
-        res = locally_near_covered_check(cycle(10), const_fn(0), const_fn(10), 2)
+        res = locally_near_covered_check(
+            cycle(10), ParamFunction("const", (0,)), ParamFunction("const", (10,)), 2)
         assert res.ok
 
     def test_halfgraph_fails_at_radius_two(self):
         g = gen_halfgraph(10)
-        res = locally_near_covered_check(g, const_fn(2), const_fn(3), 2)
+        res = locally_near_covered_check(
+            g, ParamFunction("const", (2,)), ParamFunction("const", (3,)), 2)
         assert not res.ok
         r, v, cert = res.certificate
         assert r == 2 and len(cert) == 4
 
     def test_huge_m_trivially_true(self):
         g = gen_halfgraph(6)
-        res = locally_near_covered_check(g, const_fn(0), const_fn(10**9), 2)
+        res = locally_near_covered_check(
+            g, ParamFunction("const", (0,)), ParamFunction("const", (10**9,)), 2)
         assert res.ok
 
 
@@ -227,7 +234,8 @@ class TestDerivedBounds:
         corpus = [cycle(8), complete_graph(5), star(5)] + seeded_random_graphs(15, 10, 43)
         checked = 0
         for g in corpus:
-            res = locally_near_covered_check(g, const_fn(k2), const_fn(m2), 2)
+            res = locally_near_covered_check(
+                g, ParamFunction("const", (k2,)), ParamFunction("const", (m2,)), 2)
             if res.ok:
                 assert find_halfgraph(g, t) is None
                 checked += 1
@@ -240,7 +248,7 @@ class TestDerivedBounds:
         checked = 0
         for g in corpus:
             for f_v, d_v in [(1, 2), (2, 3)]:
-                spec = ClassSpec(const_fn(f_v), const_fn(d_v))
+                spec = ClassSpec(ParamFunction("const", (f_v,)), ParamFunction("const", (d_v,)))
                 if not labd_check(g, spec).ok:
                     continue
                 for r in (1, 2):

@@ -6,7 +6,7 @@ import pytest
 
 from treerank.errors import ScaleExceeded
 from treerank.generators import gen_random, gen_tree
-from treerank.graph import closed_ball, make_graph
+from treerank.graph import make_graph
 from treerank.ranking import (
     INF,
     SearchStats,
@@ -17,6 +17,7 @@ from treerank.ranking import (
 
 from helpers import (
     backconnectivity,
+    closed_ball,
     complete_graph,
     noisy_clusters,
     path_graph,

@@ -12,7 +12,7 @@ from treerank.errors import ScaleExceeded
 from treerank.generators import gen_halfgraph, gen_random, gen_tree
 from treerank.graph import make_graph
 from treerank.halfgraph import h_bound
-from treerank.labd import ClassSpec, const_fn, no_ladder_bound
+from treerank.labd import ClassSpec, ParamFunction, no_ladder_bound
 from treerank.neartwin import symdiff
 from treerank.sparsify import (
     RecoverError,
@@ -519,7 +519,8 @@ class TestDerivedThresholds:
 class TestSflipDriver:
     def test_zero_budget_reduces_to_plain_build(self):
         g = cycle(10)
-        res = sflip_driver(g, 0, 0, 1, ClassSpec(const_fn(0), const_fn(2)))
+        verifier = ClassSpec(ParamFunction("const", (0,)), ParamFunction("const", (2,)))
+        res = sflip_driver(g, 0, 0, 1, verifier)
         assert res is not None
         assert res.s == () and res.flip_spec == ()
         assert res.flipped_graph == g
@@ -533,7 +534,7 @@ class TestSflipDriver:
             [(i, 7 + j) for i in range(7) for j in range(7)]
             + [(14, v) for v in range(14)],
         )
-        verifier = ClassSpec(const_fn(2), const_fn(3))
+        verifier = ClassSpec(ParamFunction("const", (2,)), ParamFunction("const", (3,)))
         res = sflip_driver(g, 1, 0, 1, verifier)
         assert res is not None
         # frozen first hit of the canonical enumeration order
@@ -565,12 +566,14 @@ class TestSflipDriver:
     def test_candidate_cap_stops_before_the_subsets_are_listed(self):
         # C(200, <=3) is 1.3 million subsets; only the first is visited.
         g = gen_random(200, 2 / 200, 81)
+        verifier = ClassSpec(ParamFunction("const", (0,)), ParamFunction("const", (0,)))
         t0 = time.perf_counter()
         with pytest.raises(ScaleExceeded):
-            sflip_driver(g, 3, 0, 1, ClassSpec(const_fn(0), const_fn(0)), cap_candidates=1)
+            sflip_driver(g, 3, 0, 1, verifier, cap_candidates=1)
         assert time.perf_counter() - t0 < 0.5
 
     def test_exhausted_enumeration_returns_none(self):
         g = path_graph(3)
-        res = sflip_driver(g, 0, 0, 1, ClassSpec(const_fn(0), const_fn(0)))
+        verifier = ClassSpec(ParamFunction("const", (0,)), ParamFunction("const", (0,)))
+        res = sflip_driver(g, 0, 0, 1, verifier)
         assert res is None
