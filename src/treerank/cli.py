@@ -387,19 +387,29 @@ def _cmd_sflip(args, g: Graph) -> tuple[str, int]:
 
 def _cmd_corpus(args, _: None) -> tuple[None, int]:
     import json
+    import math
 
     from .generators import gen_halfgraph, gen_random, gen_tree, subdivide
 
-    def order(i: int) -> int:
-        return 2 + (args.seed + i) % max(1, args.max_n - 1)
+    period = max(1, args.max_n - 1)
 
-    # The largest half-graph and random graph pass gen's caps before
-    # anything is written; the trees are fixed and small.
+    def order(i: int) -> int:
+        return 2 + (args.seed + i) % period
+
+    # Before anything is written, the half-graph edges and random-graph
+    # pairs of the whole corpus together pass gen's pair cap, which keeps
+    # each graph under its vertex cap too; the trees are fixed and small.
+    # The orders cycle through 2..period+1, whose pairs sum to
+    # comb(period + 2, 3), and the sum of a partial cycle stops at the cap.
     fam = args.family
-    t = args.max_t if fam in ("halfgraph", "mixed") else 0
-    n = max(map(order, range(args.count)), default=0) if fam in ("random", "mixed") else 0
-    _check_order(2 * t, GRAPH_MAX_VERTICES, max(t, 0) * (t + 1) // 2, "corpus")
-    _check_order(n, GRAPH_MAX_VERTICES, n * (n - 1) // 2, "corpus")
+    t = max(args.max_t, 0) if fam in ("halfgraph", "mixed") else 0
+    count = max(args.count, 0) if fam in ("random", "mixed") else 0
+    pairs = t * (t + 1) * (t + 2) // 6 + count // period * math.comb(period + 2, 3)
+    for i in range(count % period):
+        if pairs > GRAPH_MAX_PAIRS:
+            break
+        pairs += order(i) * (order(i) - 1) // 2
+    _check_order(2 * t, GRAPH_MAX_VERTICES, pairs, "corpus")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []

@@ -1,8 +1,8 @@
-"""Core graph type, text I/O, and edge-flip primitives.
+"""Core graph type, text I/O, and flip_parts, the one flip routine.
 
 Graphs are finite, simple, and undirected, with dense integer vertex ids
 0..n-1 and optional named unary predicates (vertex label sets).  All
-operations here are pure: they return new Graph values and never mutate
+operations here are pure: they return new values and never mutate
 their inputs, so values are safe to share across threads.  The one
 piece of hidden state, the lazily sorted neighbor rows, is a cache
 that every thread fills with the same values.
@@ -17,7 +17,7 @@ Text format (line oriented, UTF-8, '#' starts a comment):
 from __future__ import annotations
 
 from functools import cached_property
-from typing import AbstractSet, Iterable, Mapping, Optional
+from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
 
 from .errors import GRAPH_MAX_VERTICES, ScaleExceeded
 
@@ -337,6 +337,26 @@ def shortest_path(
     return None
 
 
+def flip_parts(rows: Sequence[AbstractSet[int]], parts, pairs: Iterable[tuple[int, int]]) -> list:
+    """rows with the adjacency of parts[i] and parts[j] complemented for
+    each (i, j) in pairs (inside parts[i] if i == j), in one pass over
+    pairwise disjoint parts: a pair listed twice cancels, pair order does
+    not matter, and rows outside the parts stay the same objects."""
+    partners: dict[int, frozenset[int]] = {}
+    for i, j in pairs:
+        for x, y in {(i, j), (j, i)}:  # a self pair once
+            partners[x] = partners.get(x, frozenset()) ^ {y}
+    out = list(rows)
+    for i, js in partners.items():
+        if js:
+            toggle = frozenset().union(*[parts[j] for j in js])
+            for u in parts[i]:
+                row = out[u] ^ toggle
+                # u enters its own row only when part i is self-flipped.
+                out[u] = row - {u} if u in toggle else row
+    return out
+
+
 def flip(g: Graph, a: Iterable[int], b: Iterable[int]) -> Graph:
     """Complement all adjacencies between A and B (u != v).
 
@@ -350,16 +370,8 @@ def flip(g: Graph, a: Iterable[int], b: Iterable[int]) -> Graph:
                 raise ValueError(f"vertex {v} out of range")
     if fa != fb and fa & fb:
         raise ValueError("flip sets must be disjoint or equal")
-    adj = list(g.adj)  # rows outside A and B are shared, not copied
-    if fa == fb:
-        for u in fa:
-            adj[u] = adj[u] ^ (fa - {u})
-    else:
-        for u in fa:
-            adj[u] = adj[u] ^ fb
-        for v in fb:
-            adj[v] = adj[v] ^ fa
-    return Graph(g.n, tuple(adj), dict(g.predicates))
+    parts = [fa] if fa == fb else [fa, fb]
+    return Graph(g.n, tuple(flip_parts(g.adj, parts, [(0, len(parts) - 1)])), dict(g.predicates))
 
 
 def s_flip_classes(g: Graph, s: Iterable[int]) -> list[tuple[int, ...]]:
@@ -393,12 +405,11 @@ def s_flip(g: Graph, s: Iterable[int], flips: Iterable[tuple[int, int]]) -> Grap
     complements inside class i.  Applying the same spec twice restores g.
     """
     classes = s_flip_classes(g, s)
-    out = g
+    flips = list(flips)
     for i, j in flips:
         if not (0 <= i < len(classes) and 0 <= j < len(classes)):
             raise ValueError(f"flip names nonexistent class pair ({i},{j})")
-        out = flip(out, classes[i], classes[j])
-    return out
+    return Graph(g.n, tuple(flip_parts(g.adj, classes, flips)), dict(g.predicates))
 
 
 def relabel(g: Graph, keep: Iterable[int], edges: Iterable[tuple[int, int]]) -> tuple[Graph, dict[int, int]]:

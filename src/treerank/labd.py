@@ -83,8 +83,9 @@ def parse_param_function(spec: str) -> ParamFunction:
                 return ParamFunction("table", (), {int(k): v for k, v in raw.items()})
     except (ValueError, RecursionError):  # json.loads on deeply nested input
         pass
+    shown = spec if len(spec) <= 40 else spec[:40] + "…"
     raise ValueError(
-        f"bad parameter function spec {spec!r}: expected const:N, linear:A,B, "
+        f"bad parameter function spec {shown!r}: expected const:N, linear:A,B, "
         'exp2, tower or table:{"R": N or null, ...} with integers N, A, B >= 0'
     )
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterator, Mapping, Optional
 
 from .errors import ScaleExceeded
-from .graph import Graph, flip, record, s_flip, s_flip_classes
+from .graph import Graph, flip_parts, record, s_flip, s_flip_classes
 from .neartwin import PartPartition, component_partition
 
 # Only sflip_driver verifies with labd; it imports it when called.
@@ -89,32 +89,22 @@ def build_sparsifier(g: Graph, k: int, h: int) -> SparsifiedGraph:
     hc = classify_heavy(g, partition, h)
     flips = tuple(sorted(hc.mutually_heavy))
 
-    flipped = g
-    for i, j in flips:
-        flipped = flip(flipped, partition.parts[i], partition.parts[j])
-    adj: list[set[int]] = [set(s) for s in flipped.adj]
-
+    adj = flip_parts(g.adj, partition.parts, flips)
     apex = {i: g.n + idx for idx, i in enumerate(sorted(hc.heavy))}
-    adj.extend(set() for _ in apex)
     for i, a_vertex in apex.items():
         for u in partition.parts[i]:
-            adj[u].add(a_vertex)
-            adj[a_vertex].add(u)
-    for i, j in flips:
-        if i != j:
-            adj[apex[i]].add(apex[j])
-            adj[apex[j]].add(apex[i])
+            adj[u] = adj[u] | {a_vertex}
+        adj.append(frozenset(partition.parts[i]))
+    # The apexes of a flipped distinct pair are joined: a flip of singletons.
+    singletons = {i: (a_vertex,) for i, a_vertex in apex.items()}
+    adj = flip_parts(adj, singletons, [(i, j) for i, j in flips if i != j])
 
     preds = {
         **g.predicates,
         "R": frozenset(apex.values()),
         "F": frozenset(apex[i] for i, j in flips if i == j),
     }
-    out = Graph(
-        len(adj),
-        tuple(frozenset(s) for s in adj),
-        {name: vs for name, vs in preds.items() if vs},
-    )
+    out = Graph(len(adj), tuple(adj), {name: vs for name, vs in preds.items() if vs})
     return SparsifiedGraph(out, apex, flips, g.n, partition, h)
 
 
@@ -131,50 +121,41 @@ def recover_graph(g: Graph) -> tuple[Graph, dict[int, int]]:
     restricts the remaining predicates.  Raises RecoverError if some kept
     vertex has several R-marked neighbors or F escapes R.
 
-    Only the rows of marked vertices change: a vertex marked `a` toggles
-    its adjacency to each part whose apex is adjacent to `a`, and to its
-    own part when `a` is F-marked.  Rows are built in the output's ids,
-    and when the R vertices come last, as build_sparsifier's apexes do,
-    unmarked rows are the input's own.  Cost: O(n + m_in + m_out).
+    Only the rows of marked vertices change: each drops its mark, and one
+    flip_parts call over the apexes' parts flips each F-marked apex's
+    part inside and the parts of each pair of adjacent apexes.  When the
+    R vertices come last, as build_sparsifier's apexes do, ids do not
+    move and unmarked rows are the input's own.  Cost: O(n + m_in + m_out).
     """
     r_set = g.predicates.get("R", frozenset())
     f_set = g.predicates.get("F", frozenset())
     if not f_set <= r_set:
         raise RecoverError("F marks escape the R marks")
     keep = [v for v in range(g.n) if v not in r_set]
-    mark: dict[int, Optional[int]] = {}
+    # A marked row loses its mark before the flip, so the flip touches
+    # only kept ids.
+    rows = list(g.adj)
     for v in keep:
         marked = g.adj[v] & r_set
-        if len(marked) > 1:
-            raise RecoverError(f"vertex {v} has {len(marked)} marked neighbors")
-        mark[v] = next(iter(marked)) if marked else None
+        if marked:
+            if len(marked) > 1:
+                raise RecoverError(f"vertex {v} has {len(marked)} marked neighbors")
+            rows[v] = rows[v] - marked
     # With one mark per kept vertex, an apex's kept neighbors are the
     # vertices it marks, and these parts are disjoint.
     members = {a: g.adj[a] - r_set for a in r_set}
-    toggle = {
-        a: frozenset().union(
-            members[a] if a in f_set else (), *(members[b] for b in g.adj[a] & r_set)
-        )
-        for a in r_set
-    }
-    # The rows are symmetric: x lies in toggle[my] exactly when y lies in
-    # toggle[mx], since each kept vertex has at most one mark and
-    # adjacency between marks is mutual.  x may enter its own row through
-    # toggle, and is dropped from it.
+    pairs = [(a, a) for a in f_set] + [(a, b) for a in r_set for b in g.adj[a] & r_set if a < b]
+    rows = flip_parts(rows, members, pairs)
     remap = {v: i for i, v in enumerate(keep)}
-    same_ids = not keep or keep[-1] == len(keep) - 1
-    rows = []
-    for x in keep:
-        mx = mark[x]
-        row = g.adj[x] if mx is None else ((g.adj[x] - r_set) ^ toggle[mx]) - {x}
-        rows.append(row if same_ids else frozenset([remap[y] for y in row]))
+    if keep and keep[-1] != len(keep) - 1:  # ids move; else the R rows are last
+        rows = [frozenset([remap[y] for y in rows[x]]) for x in keep]
     # Every R vertex is dropped and F lies in R, so both marks go.
     preds = {}
     for name, vs in g.predicates.items():
         kept = frozenset([remap[v] for v in vs if v in remap])
         if kept:
             preds[name] = kept
-    return Graph(len(keep), tuple(rows), preds), remap
+    return Graph(len(keep), tuple(rows[: len(keep)]), preds), remap
 
 
 def recover(sg: SparsifiedGraph) -> Graph:

@@ -156,6 +156,32 @@ def noisy_clusters(n: int, s: int, seed: int) -> Graph:
     return build_sparsifier(make_graph(n, edges), 2 * d + 2, math.ceil(d / 2)).graph
 
 
+def flip_pairwise(g: Graph, parts, pairs: Iterable[tuple[int, int]]) -> Graph:
+    """g with the listed part pairs complemented one vertex pair at a time.
+
+    Each (i, j) toggles every edge {x, y} with x in parts[i], y in
+    parts[j] and x != y, each unordered pair once; (i, i) toggles the
+    pairs inside parts[i].
+    """
+    edges = set(g.edges())
+    for i, j in pairs:
+        todo = combinations(sorted(parts[i]), 2) if i == j else product(parts[i], parts[j])
+        for x, y in todo:
+            edges.symmetric_difference_update({(min(x, y), max(x, y))})
+    return make_graph(g.n, edges, g.predicates)
+
+
+def random_flip_spec(rng: random.Random, n: int) -> tuple[list[tuple[int, ...]], list[tuple[int, int]]]:
+    """Disjoint parts of range(n), some empty, and a pair list over them
+    with repeats, both orders of a pair and self pairs (possibly empty)."""
+    owner = [rng.randrange(-1, 4) for _ in range(n)]
+    parts = [tuple(v for v in range(n) if owner[v] == i) for i in range(4)]
+    pairs = [(rng.randrange(4), rng.randrange(4)) for _ in range(rng.randrange(7))]
+    pairs += [(j, i) for i, j in pairs if rng.random() < 0.3] + pairs[: rng.randrange(3)]
+    rng.shuffle(pairs)
+    return parts, pairs
+
+
 def bfs_distances(g: Graph, source: int) -> dict[int, int]:
     """Distance from source to every vertex reachable from it."""
     dist = {source: 0}

@@ -427,11 +427,25 @@ def test_recursion_limit_is_a_scale_or_usage_error(capsys, tmp_path, g, argv, co
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+def test_bad_parameter_function_spec_is_cut_in_the_message(capsys, tmp_path):
+    src = tmp_path / "g.graph"
+    src.write_text(write_graph(path_graph(2)))
+    spec = "table:" + "[" * 100_000
+    assert cli.main(["--input", str(src), "labd-check", "--f", spec, "--d", "const:1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and len(err[0]) < 300
+    assert "'table:[[[" in err[0] and "…'" in err[0]
+
+
 @pytest.mark.parametrize("argv", [
     # G(3999, 0.1) has 7,994,001 vertex pairs, the same graph `gen random` refuses.
     ["--seed", "3997", "corpus", "--family", "random", "--count", "1", "--max-n", "4000"],
     # The largest half-graph has 2,237 * 2,238 / 2 edges.
     ["corpus", "--family", "mixed", "--max-t", "2237"],
+    # Each half-graph passes, but t = 1..2,235 hold 1.86e9 edges in all.
+    ["corpus", "--family", "halfgraph", "--max-t", "2235"],
+    # 3,000 random graphs of at most 120 vertices: about 7 M pairs in all.
+    ["corpus", "--family", "random", "--count", "3000", "--max-n", "120"],
 ])
 def test_corpus_refuses_what_gen_refuses_before_writing(capsys, tmp_path, monkeypatch, argv):
     def unreachable(*args):

@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -10,6 +11,7 @@ from treerank.graph import (
     Graph,
     ParseError,
     flip,
+    flip_parts,
     make_graph,
     parse_graph,
     s_flip,
@@ -19,7 +21,16 @@ from treerank.graph import (
 from treerank.halfgraph import HalfgraphWitness
 from treerank.ranking import RankAssignment, SearchStats
 
-from helpers import bfs_distances, closed_ball, complete_graph, induced, path_graph, star
+from helpers import (
+    bfs_distances,
+    closed_ball,
+    complete_graph,
+    flip_pairwise,
+    induced,
+    path_graph,
+    random_flip_spec,
+    star,
+)
 
 
 @st.composite
@@ -318,6 +329,30 @@ class TestBallsFlipsSubgraphs:
             assert v not in out.adj[v]
             for u in out.adj[v]:
                 assert v in out.adj[u]
+
+    def test_flip_parts_matches_pairwise_oracle(self):
+        rng = random.Random(7)
+        for trial in range(150):
+            g = gen_random(rng.randrange(1, 13), rng.random(), trial)
+            parts, pairs = random_flip_spec(rng, g.n)
+            if trial % 2:
+                parts = {i: frozenset(p) for i, p in enumerate(parts)}
+            rows = flip_parts(g.adj, parts, pairs)
+            assert Graph(g.n, tuple(rows), g.predicates) == flip_pairwise(g, parts, pairs), (trial, pairs)
+            named = {v for p in (parts.values() if trial % 2 else parts) for v in p}
+            assert all(rows[v] is g.adj[v] for v in range(g.n) if v not in named)
+        g = gen_random(6, 0.5, 1)
+        assert flip_parts(g.adj, [(0, 1), (2,)], []) == list(g.adj)
+
+    def test_s_flip_matches_pairwise_oracle(self):
+        rng = random.Random(11)
+        for trial in range(80):
+            g = gen_random(rng.randrange(1, 11), rng.random(), trial)
+            s = [v for v in range(g.n) if rng.random() < 0.3]
+            classes = s_flip_classes(g, s)
+            pairs = [(rng.randrange(len(classes)), rng.randrange(len(classes))) for _ in range(rng.randrange(6))]
+            pairs += pairs[: rng.randrange(3)] + [(j, i) for i, j in pairs[:1]]
+            assert s_flip(g, s, pairs) == flip_pairwise(g, classes, pairs), (trial, s, pairs)
 
     def test_s_flip_empty_identity(self):
         g = gen_random(6, 0.5, 0)

@@ -74,6 +74,7 @@ UNREACHED = {
     "apply_interpretation": "computes I(H); the benchmark's interpret child and criterion 9 call it",
     "check_range": "the range-3 check of recovery_interpretation's edge formula",
     "evaluate": "truth of one formula under an assignment, the FO layer's entry point",
+    "flip": "the paper's two-set flip, checked in its arguments; tests build inputs with it",
     "neartwin_view": "perfbench/spans.py rebinds it in traced runs",
     "rank_order": "the vertex order a finite ranking defines",
     "recovery_interpretation": "the fixed interpretation I with G = I(H) that the abstract claims",
