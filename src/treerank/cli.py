@@ -223,9 +223,11 @@ def _cmd_rank(args, g: Graph) -> tuple[str, int]:
 
 
 def _cmd_certify(args, g: Graph) -> tuple[str, int]:
-    from . import ranking, shallow
+    from . import shallow
 
     if args.extract:
+        from . import ranking
+
         if args.vertex is None:
             raise ValueError("--extract needs --vertex")
         if not 0 <= args.vertex < g.n:

@@ -9,7 +9,7 @@ g_bound and h_bound are the bounds of that argument.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .errors import BOUND_MAX_BITS, ScaleExceeded
 from .graph import Graph, record, shortest_path
@@ -124,68 +124,49 @@ class HalfgraphExtraction:
         return HalfgraphWitness(self.u, self.w)
 
 
-@record
-class ExtractionFailure:
-    """A precondition or chain property that failed, with its index."""
-
-    stage: str  # "precondition" or "property-1" / "property-2" / "property-3"
-    message: str
-
-
 def extract_halfgraph(
     g: Graph,
     nt_path: Sequence[int],
     k: int,
     t: int,
-) -> Union[HalfgraphExtraction, ExtractionFailure]:
+) -> HalfgraphExtraction:
     """Run the constructive argument along a near-twin path.
 
     nt_path must be a simple path v_1..v_m in NT_k(g) and the surplus set
     S = N(v_m) \\ N(v_1) must have at least g_bound(t + 1, k, t)
-    elements.  On success returns the w/X chain plus the selected u side;
-    every free choice takes the smallest id.
+    elements; raises ValueError when either fails.  Returns the w/X chain
+    plus the selected u side; every free choice takes the smallest id.
+    A failure the proof rules out (consecutive path vertices differ by at
+    most k, and g(t) - k >= g(t-1) + c) raises RuntimeError.
     """
     if t < 1:
         raise ValueError("need t >= 1")
     c = t + 1
     path = list(nt_path)
     if len(path) < 1 or len(set(path)) != len(path):
-        return ExtractionFailure("precondition", "input is not a simple path")
+        raise ValueError("input is not a simple path")
     for a, b in zip(path, path[1:]):
         if symdiff(g, a, b) > k:
-            return ExtractionFailure(
-                "precondition", f"consecutive vertices ({a},{b}) are not {k}-near-twins"
-            )
+            raise ValueError(f"consecutive vertices ({a},{b}) are not {k}-near-twins")
     s = g.adj[path[-1]] - g.adj[path[0]]
     need = g_bound(c, k, t)
     if len(s) < need:
-        return ExtractionFailure(
-            "precondition", f"surplus set has {len(s)} vertices, need {need}"
-        )
+        raise ValueError(f"surplus set has {len(s)} vertices, need {need}")
 
     chain = _build_chain(g, path, s, c, k, t)
-    if isinstance(chain, ExtractionFailure):
-        return chain
     ws = [w for w, _ in chain]
     xs = [x for _, x in chain]
-
-    check = _check_chain(g, s, ws, xs, c)
-    if check is not None:
-        return check
+    _check_chain(g, s, ws, xs, c)
 
     # u_i: smallest id in X_i avoiding w_1..w_t and all neighborhoods of
     # w_1..w_{i-1}; the chain properties guarantee at least one choice.
     w_set = set(ws)
     us: list[int] = []
     for i in range(t):
-        pool = [
-            x
-            for x in sorted(xs[i])
-            if x not in w_set and all(x not in g.adj[ws[j]] for j in range(i))
-        ]
+        pool = xs[i] - w_set.union(*(g.adj[w] for w in ws[:i]))
         if not pool:
-            return ExtractionFailure("property-3", f"no admissible u_{i+1} in X_{i+1}")
-        us.append(pool[0])
+            raise RuntimeError(f"property 3: no admissible u_{i+1} in X_{i+1}")
+        us.append(min(pool))
     return HalfgraphExtraction(tuple(us), tuple(ws), tuple(xs))
 
 
@@ -196,23 +177,14 @@ def _build_chain(
     c: int,
     k: int,
     t: int,
-) -> Union[list[tuple[int, frozenset[int]]], ExtractionFailure]:
+) -> list[tuple[int, frozenset[int]]]:
     if t == 1:
         return [(path[-1], s)]
     threshold = g_bound(c, k, t - 1)
-    q = None
-    for idx, v in enumerate(path):
-        if len(s & g.adj[v]) >= threshold:
-            q = idx
-            break
+    q = next((idx for idx, v in enumerate(path) if len(s & g.adj[v]) >= threshold), None)
     if q is None or q == len(path) - 1:
-        return ExtractionFailure(
-            "precondition", f"no proper path prefix meets the g({c},{k},{t-1}) threshold"
-        )
-    sub = _build_chain(g, path[: q + 1], s & g.adj[path[q]], c, k, t - 1)
-    if isinstance(sub, ExtractionFailure):
-        return sub
-    return sub + [(path[-1], s)]
+        raise RuntimeError(f"no proper path prefix meets the g({c},{k},{t-1}) threshold")
+    return _build_chain(g, path[: q + 1], s & g.adj[path[q]], c, k, t - 1) + [(path[-1], s)]
 
 
 def _check_chain(
@@ -221,24 +193,21 @@ def _check_chain(
     ws: list[int],
     xs: list[frozenset[int]],
     c: int,
-) -> Optional[ExtractionFailure]:
-    """Independent validation of the three chain properties."""
+) -> None:
+    """Independent check of the three chain properties; raises RuntimeError."""
     t = len(ws)
     if len(set(ws)) != t:
-        return ExtractionFailure("property-1", "chain vertices are not distinct")
+        raise RuntimeError("property 1: chain vertices are not distinct")
     for i in range(t):
         if not xs[i] <= (g.adj[ws[i]] & s):
-            return ExtractionFailure(
-                "property-1", f"X_{i+1} escapes N(w_{i+1}) intersected with S"
-            )
+            raise RuntimeError(f"property 1: X_{i+1} escapes N(w_{i+1}) intersected with S")
         if i > 0 and not xs[i - 1] <= xs[i]:
-            return ExtractionFailure("property-2", f"X_{i} is not contained in X_{i+1}")
+            raise RuntimeError(f"property 2: X_{i} is not contained in X_{i+1}")
         overlap = sum(len(xs[i] & g.adj[ws[j]]) for j in range(i))
         if len(xs[i]) < overlap + c:
-            return ExtractionFailure(
-                "property-3", f"X_{i+1} counting inequality fails ({len(xs[i])} < {overlap}+{c})"
+            raise RuntimeError(
+                f"property 3: X_{i+1} counting inequality fails ({len(xs[i])} < {overlap}+{c})"
             )
-    return None
 
 
 def nt_path(g: Graph, k: int, u: int, v: int) -> Optional[list[int]]:
@@ -259,13 +228,15 @@ def extract_halfgraph_for_pair(
     t: int,
     u: int,
     v: int,
-) -> Union[HalfgraphExtraction, ExtractionFailure]:
+) -> HalfgraphExtraction:
     """Extraction driver for a same-component pair differing too much.
 
     Orients the pair so the surplus side is large enough, finds a
-    near-twin path between them, and extracts.  The path search raises
-    ScaleExceeded, as neartwin_graph does, when g has more than
-    GRAPH_MAX_PAIRS vertex pairs.
+    near-twin path between them, and extracts.  Raises ValueError when
+    neither one-sided difference reaches g_bound(t + 1, k, t) or the
+    pair shares no near-twin path, and RuntimeError as extract_halfgraph
+    does.  The path search raises ScaleExceeded, as neartwin_graph does,
+    when g has more than GRAPH_MAX_PAIRS vertex pairs.
     """
     need = g_bound(t + 1, k, t)
     if len(g.adj[v] - g.adj[u]) >= need:
@@ -273,10 +244,8 @@ def extract_halfgraph_for_pair(
     elif len(g.adj[u] - g.adj[v]) >= need:
         lo, hi = v, u
     else:
-        return ExtractionFailure(
-            "precondition", f"neither one-sided difference reaches {need}"
-        )
+        raise ValueError(f"neither one-sided difference reaches {need}")
     path = nt_path(g, k, lo, hi)
     if path is None:
-        return ExtractionFailure("precondition", "vertices share no near-twin path")
+        raise ValueError("vertices share no near-twin path")
     return extract_halfgraph(g, path, k, t)

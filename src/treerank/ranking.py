@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from typing import AbstractSet, Iterable, Mapping, Optional
 
+from .errors import ScaleExceeded
 from .graph import Graph, field, record, shortest_path, within_distance
 
 INF = math.inf
@@ -168,7 +169,8 @@ def compute_ranking(
 
     For r >= 1 a vertex has rank 1 iff its degree is at most m.  When a
     rank is assigned, the separator found is stored as an audit witness
-    (the witness is branch-order dependent, the rank value is not).
+    (the witness is branch-order dependent, the rank value is not).  A
+    search deeper than the recursion limit raises ScaleExceeded.
     """
     if r < 1 or m < 0:
         raise ValueError("need r >= 1 and m >= 0")
@@ -180,10 +182,13 @@ def compute_ranking(
     while unranked:
         round_no += 1
         assigned: list[tuple[int, frozenset[int]]] = []
-        for v in dirty:
-            s = _separator(g, v, unranked, r, m, stats)
-            if s is not None:
-                assigned.append((v, s))
+        try:
+            for v in dirty:
+                s = _separator(g, v, unranked, r, m, stats)
+                if s is not None:
+                    assigned.append((v, s))
+        except RecursionError:
+            raise ScaleExceeded("compute_ranking", "search deeper than the recursion limit") from None
         if not assigned:
             break
         for v, s in assigned:

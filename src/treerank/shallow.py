@@ -14,13 +14,15 @@ with an inflated branching target, and then prunes colliding branches.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .errors import BOUND_MAX_BITS, ScaleExceeded
 from .generators import tree_children, tree_order
 from .graph import Embedding, Graph, shortest_path, within_distance
-from .ranking import RankAssignment, compute_ranking
+
+# Annotations only: `certify` without --extract never loads ranking.
+if TYPE_CHECKING:
+    from .ranking import RankAssignment
 
 
 def w_count(d: int, m: int, r: int) -> int:
@@ -38,7 +40,6 @@ def _inflated(d: int, m: int, r: int) -> int:
     return m * w_count(d, m, r) + r * m + m
 
 
-@lru_cache(maxsize=None)
 def m_prime(d: int, r: int, m: int) -> int:
     """Rank parameter guaranteeing extraction of the (d, m) tree pattern.
 
@@ -208,7 +209,7 @@ def extract_shallow_tree(
 
     Preconditions: ra was computed with parameters (r, m_prime(d, r, m))
     and ra rank of v exceeds d (infinity allowed).  Raises ValueError if
-    either fails; when they hold, extraction always succeeds.
+    either fails; a failure the proof rules out raises RuntimeError.
     """
     if d < 1 or m < 1 or r < 1:
         raise ValueError("need d >= 1, m >= 1, r >= 1")
@@ -219,16 +220,11 @@ def extract_shallow_tree(
         )
     if not ra.ranks[v] > d:
         raise ValueError(f"vertex {v} has rank {ra.ranks[v]}, need more than {d}")
-    cache: dict[int, RankAssignment] = {mp: ra}
-    temb = _extract(g, v, d, m, r, cache)
-    return _freeze(temb)
+    return _freeze(_extract(g, ra, v, d, m, r))
 
 
-def _extract(g: Graph, v: int, d: int, m: int, r: int, cache: dict[int, RankAssignment]) -> TreeEmb:
-    mp = m_prime(d, r, m)
-    if mp not in cache:
-        cache[mp] = compute_ranking(g, r, mp)
-    ra = cache[mp]
+def _extract(g: Graph, ra: RankAssignment, v: int, d: int, m: int, r: int) -> TreeEmb:
+    # ra serves every level: m_prime(d-1, r, _inflated(d, m, r)) == m_prime(d, r, m).
     if not ra.ranks[v] > d:
         raise RuntimeError(f"rank guarantee failed at vertex {v} (d={d})")
     if d == 1:
@@ -259,7 +255,7 @@ def _extract(g: Graph, v: int, d: int, m: int, r: int, cache: dict[int, RankAssi
     out: list = []
     for path in paths:
         u = path[-1]
-        full = _extract(g, u, d - 1, big_m, r, cache)
+        full = _extract(g, ra, u, d - 1, big_m, r)
         pruned = _prune(full, forbidden - {u}, m)
         out.append((path, pruned))
         forbidden |= _temb_vertices(pruned)

@@ -200,8 +200,8 @@ def sflip_driver(
     (equivalently, ascending characteristic bitmasks) and, for each, all
     flip specs over the S-partition classes in binary-counter order over
     the canonical class-pair list.  Returns the first candidate whose
-    sparsified graph passes the verifier and whose recovery round-trips,
-    or None when the enumeration is exhausted.
+    sparsified graph passes the verifier, or None when the enumeration is
+    exhausted; raises RuntimeError if that candidate's recovery is inexact.
     """
     from .labd import labd_check
 
@@ -220,8 +220,8 @@ def sflip_driver(
             spec = tuple(p for bit, p in enumerate(pair_list) if mask >> bit & 1)
             flipped = s_flip(g, subset, spec)
             sg = build_sparsifier(flipped, k, h)
-            if recover(sg) != flipped:
-                continue
             if labd_check(sg.graph, verifier).ok:
+                if recover(sg) != flipped:
+                    raise RuntimeError(f"recovery is not exact for S={subset}, flips {spec}")
                 return SflipResult(subset, spec, tuple(classes), flipped, sg)
     return None

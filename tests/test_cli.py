@@ -427,6 +427,21 @@ def test_recursion_limit_is_a_scale_or_usage_error(capsys, tmp_path, g, argv, co
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+def test_rank_search_deeper_than_the_recursion_limit_exits_3(capsys, tmp_path):
+    # Vertex 0 reaches 1101..1105 through 1,100 middles, all rank 1; the
+    # round-2 separator search deletes one middle per recursive call.
+    g = make_graph(1106, [(0, v) for v in range(1, 1101)]
+                   + [(v, w) for v in range(1, 1101) for w in range(1101, 1106)])
+    src = tmp_path / "deep.graph"
+    src.write_text(write_graph(g))
+    assert cli.main(["--input", str(src), "rank", "--r", "2", "--m", "1000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.splitlines() == [
+        "error: compute_ranking: scale cap exceeded (search deeper than the recursion limit)"
+    ]
+
+
 def test_bad_parameter_function_spec_is_cut_in_the_message(capsys, tmp_path):
     src = tmp_path / "g.graph"
     src.write_text(write_graph(path_graph(2)))

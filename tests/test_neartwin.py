@@ -6,7 +6,6 @@ from treerank.errors import ScaleExceeded
 from treerank.generators import gen_halfgraph, gen_random
 from treerank.graph import make_graph
 from treerank.halfgraph import (
-    ExtractionFailure,
     HalfgraphExtraction,
     HalfgraphWitness,
     extract_halfgraph,
@@ -182,15 +181,13 @@ class TestExtraction:
 
     def test_surplus_too_small(self):
         g = complete_graph(3)
-        res = extract_halfgraph(g, [0, 1], 2, 2)
-        assert isinstance(res, ExtractionFailure)
-        assert res.stage == "precondition"
+        with pytest.raises(ValueError, match="surplus set has"):
+            extract_halfgraph(g, [0, 1], 2, 2)
 
     def test_not_a_near_twin_path(self):
         g = star(5)
-        res = extract_halfgraph(g, [1, 0], 0, 1)  # symdiff(1, 0) = 6 > 0
-        assert isinstance(res, ExtractionFailure)
-        assert "near-twin" in res.message
+        with pytest.raises(ValueError, match="near-twin"):
+            extract_halfgraph(g, [1, 0], 0, 1)  # symdiff(1, 0) = 6 > 0
 
     def test_halfgraph_gadget_extraction(self):
         t, k = 2, 1
@@ -212,8 +209,8 @@ class TestExtraction:
 
     def test_pair_without_surplus(self):
         g = complete_graph(6)
-        res = extract_halfgraph_for_pair(g, 2, 2, 0, 1)
-        assert isinstance(res, ExtractionFailure)
+        with pytest.raises(ValueError, match="neither one-sided difference"):
+            extract_halfgraph_for_pair(g, 2, 2, 0, 1)
 
 
 class TestClosenessProperty:

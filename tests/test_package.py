@@ -135,6 +135,9 @@ _BASE = ["treerank", "treerank.errors", "treerank.graph"]
 
 @pytest.mark.parametrize("argv, extra", [
     (["rank", "--r", "1", "--m", "1"], ["treerank.ranking"]),
+    (["certify", "--d", "1", "--m", "2", "--r", "1"], ["treerank.generators", "treerank.shallow"]),
+    (["certify", "--d", "1", "--m", "2", "--r", "1", "--extract", "--vertex", "0"],
+     ["treerank.generators", "treerank.ranking", "treerank.shallow"]),
     (["sparsify", "--k", "1", "--h", "1"], ["treerank.neartwin", "treerank.sparsify"]),
     (["recover"], ["treerank.neartwin", "treerank.sparsify"]),
     (["neartwin", "--k", "1"], ["treerank.neartwin"]),

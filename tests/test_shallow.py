@@ -8,6 +8,7 @@ from treerank.generators import gen_random, gen_tree, subdivide, tree_children
 from treerank.graph import Embedding, make_graph
 from treerank.ranking import compute_ranking
 from treerank.shallow import (
+    _inflated,
     contains_shallow_tree,
     extract_shallow_tree,
     m_prime,
@@ -70,6 +71,15 @@ class TestBoundArithmetic:
         # m_prime is the depth-1 parameter at branching 14.
         assert w_count(2, 2, 1) == 5
         assert m_prime(2, 1, 2) == m_prime(1, 1, 14) == 13
+
+    def test_m_prime_level_identity(self):
+        # Extraction recurses to depth d-1 at branching _inflated(d, m, r)
+        # on the ranking it was given; that ranking serves every level
+        # only because the level's parameter is the same m_prime.
+        for d in range(2, 7):
+            for r in range(1, 4):
+                for m in range(1, 6):
+                    assert m_prime(d - 1, r, _inflated(d, m, r)) == m_prime(d, r, m), (d, r, m)
 
 
 class TestContains:

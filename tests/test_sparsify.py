@@ -572,6 +572,14 @@ class TestSflipDriver:
             sflip_driver(g, 3, 0, 1, verifier, cap_candidates=1)
         assert time.perf_counter() - t0 < 0.5
 
+    def test_inexact_recovery_of_the_result_raises(self, monkeypatch):
+        # Recovery is exact on every input, so a wrong recovery is a broken
+        # guarantee, not a candidate to skip.
+        monkeypatch.setattr("treerank.sparsify.recover", lambda sg: path_graph(1))
+        verifier = ClassSpec(ParamFunction("const", (0,)), ParamFunction("const", (2,)))
+        with pytest.raises(RuntimeError, match="recovery is not exact"):
+            sflip_driver(cycle(10), 0, 0, 1, verifier)
+
     def test_exhausted_enumeration_returns_none(self):
         g = path_graph(3)
         verifier = ClassSpec(ParamFunction("const", (0,)), ParamFunction("const", (0,)))
