@@ -79,33 +79,35 @@ def find_halfgraph(g: Graph, t: int, cap_nodes: int = 500_000) -> Optional[Halfg
     by_degree = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     used: set[int] = set()
     sides: tuple[list[int], list[int]] = ([], [])  # u_1.., w_1..
+    placed: list[int] = []  # by_degree index of u_1, w_1, u_2, ... so far
     budget = cap_nodes
-
-    def place(is_w: bool) -> bool:
+    start = 0
+    while True:
         # Place the next u, non-adjacent to every w placed so far, or the
-        # next w, adjacent to every u placed so far; each call is one
-        # node of the search.
-        nonlocal budget
+        # next w, adjacent to every u placed so far; each pass of the loop
+        # is one node of the search.
         budget -= 1
         if budget < 0:
             raise ScaleExceeded("find_halfgraph", "node cap")
-        if not is_w and len(sides[0]) == t:
-            return True
-        other = sides[not is_w]
-        for cand in by_degree:
-            if cand in used or any((cand in g.adj[x]) != is_w for x in other):
-                continue
-            sides[is_w].append(cand)
-            used.add(cand)
-            if place(not is_w):
-                return True
-            used.discard(cand)
-            sides[is_w].pop()
-        return False
-
-    if place(False):
-        return HalfgraphWitness(tuple(sides[0]), tuple(sides[1]))
-    return None
+        if len(placed) == 2 * t:
+            return HalfgraphWitness(tuple(sides[0]), tuple(sides[1]))
+        while True:
+            is_w = len(placed) % 2 == 1
+            other = sides[not is_w]
+            i = next((i for i in range(start, g.n) if by_degree[i] not in used
+                      and all((by_degree[i] in g.adj[x]) == is_w for x in other)), None)
+            if i is not None:
+                break
+            if not placed:
+                return None
+            i = placed.pop()
+            used.discard(by_degree[i])
+            sides[len(placed) % 2].pop()
+            start = i + 1
+        placed.append(i)
+        used.add(by_degree[i])
+        sides[is_w].append(by_degree[i])
+        start = 0
 
 
 @record

@@ -168,7 +168,7 @@ def near_covered_check(
     (flagged by exact=False in the result).  Both modes build NT_k(g)
     with neartwin_graph, so both raise ScaleExceeded when g has more than
     GRAPH_MAX_PAIRS vertex pairs; exact mode raises it too when the search
-    outgrows cap_nodes or recurses past the interpreter's recursion limit.
+    outgrows cap_nodes.
     """
     if k < 0 or m < 0:
         raise ValueError("need k >= 0 and m >= 0")
@@ -183,33 +183,27 @@ def near_covered_check(
             return NearCoveredResult(False, False, tuple(chosen[: m + 1]))
         return NearCoveredResult(True, False)
     # Exact: backtrack over vertex ids for m+1 pairwise non-adjacent
-    # vertices of NT_k; each call of grow is one node of the search.
+    # vertices of NT_k; each pass of the loop is one node of the search,
+    # and a node that fails resumes its parent after the parent's choice.
     budget = cap_nodes
-
-    def grow(start: int) -> bool:
-        nonlocal budget
+    start = 0
+    while True:
         budget -= 1
         if budget < 0:
             raise ScaleExceeded("near_covered_check", "node cap")
         if len(chosen) == m + 1:
-            return True
-        if len(chosen) + (n - start) < m + 1:
-            return False
-        for v in range(start, n):
-            if any(v in nt_adj[u] for u in chosen):
-                continue
-            chosen.append(v)
-            if grow(v + 1):
-                return True
-            chosen.pop()
-        return False
-
-    try:
-        if grow(0):
             return NearCoveredResult(False, True, tuple(chosen))
-    except RecursionError:
-        raise ScaleExceeded("near_covered_check", "search deeper than the recursion limit") from None
-    return NearCoveredResult(True, True)
+        if len(chosen) + (n - start) < m + 1:
+            start = n  # too few ids left: the node fails
+        while True:
+            v = next((u for u in range(start, n) if nt_adj[u].isdisjoint(chosen)), None)
+            if v is not None:
+                break
+            if not chosen:
+                return NearCoveredResult(True, True)
+            start = chosen.pop() + 1
+        chosen.append(v)
+        start = v + 1
 
 
 def no_ladder_bound(k2: int, m2: int) -> int:

@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 from typing import AbstractSet, Iterable, Mapping, Optional
 
-from .errors import ScaleExceeded
 from .graph import Graph, field, record, shortest_path, within_distance
 
 INF = math.inf
@@ -46,7 +45,7 @@ Rank = float  # positive int, or math.inf
 
 @record(frozen=False)
 class SearchStats:
-    """Instrumentation for separator searches (node = one recursive call)."""
+    """Instrumentation for separator searches (node = one search tree node)."""
 
     searches: int = 0
     nodes: int = 0
@@ -113,50 +112,55 @@ def _separator(
     a target.  That lets every search of a ranking round share one set.
     The search starts with the forced first ring deleted.
     """
-    forced = g.adj[v] & targets
-    counter = [0]
-    if len(forced) > m:
-        counter[0] = 1  # the root node, refused at once
-        found = None
-    else:
-        found = _sep_search(g, v, targets, r, m - len(forced), set(forced), counter)
+    deleted = set(g.adj[v] & targets)
+    budget = m - len(deleted)
+    # One frame per open node: its path vertices not yet given up, in
+    # reverse, so frame[-1] is the vertex its current branch deletes.
+    frames: list[list[int]] = []
+    nodes = 1  # the root; a ring of more than m refuses it at once
+    found = None
+    while budget >= 0:
+        path = shortest_path(g, v, targets, r, deleted)
+        if path is None:
+            found = frozenset(deleted)
+            break
+        if not _refuted(g, v, targets, r, budget - len(frames), deleted, path):
+            frames.append(path[:0:-1])
+        else:  # the node fails: move on to the next untried branch
+            while frames:
+                deleted.remove(frames[-1].pop())
+                if frames[-1]:
+                    break
+                frames.pop()
+            else:
+                break
+        deleted.add(frames[-1][-1])
+        nodes += 1
     if stats is not None:
-        stats.record(counter[0])
+        stats.record(nodes)
     return found
 
 
-def _sep_search(
+def _refuted(
     g: Graph,
     v: int,
     targets: AbstractSet[int],
     r: int,
     budget: int,
     deleted: set[int],
-    counter: list[int],
-) -> Optional[frozenset[int]]:
-    counter[0] += 1
-    path = shortest_path(g, v, targets, r, deleted)
-    if path is None:
-        return frozenset(deleted)
+    path: list[int],
+) -> bool:
+    """Disjoint-path refusal: budget + 1 paths sharing only v, path
+    first, cannot all be cut by budget deletions."""
     if budget == 0:
-        return None
-    # Disjoint-path refusal: budget + 1 paths sharing only v cannot all
-    # be cut by budget deletions.
+        return True
     blocked = deleted.union(path[1:])
     for _ in range(budget):
         other = shortest_path(g, v, targets, r, blocked)
         if other is None:
-            break
+            return False
         blocked.update(other[1:])
-    else:
-        return None
-    for u in path[1:]:
-        deleted.add(u)
-        res = _sep_search(g, v, targets, r, budget - 1, deleted, counter)
-        if res is not None:
-            return res
-        deleted.remove(u)
-    return None
+    return True
 
 
 def compute_ranking(
@@ -169,8 +173,7 @@ def compute_ranking(
 
     For r >= 1 a vertex has rank 1 iff its degree is at most m.  When a
     rank is assigned, the separator found is stored as an audit witness
-    (the witness is branch-order dependent, the rank value is not).  A
-    search deeper than the recursion limit raises ScaleExceeded.
+    (the witness is branch-order dependent, the rank value is not).
     """
     if r < 1 or m < 0:
         raise ValueError("need r >= 1 and m >= 0")
@@ -182,13 +185,10 @@ def compute_ranking(
     while unranked:
         round_no += 1
         assigned: list[tuple[int, frozenset[int]]] = []
-        try:
-            for v in dirty:
-                s = _separator(g, v, unranked, r, m, stats)
-                if s is not None:
-                    assigned.append((v, s))
-        except RecursionError:
-            raise ScaleExceeded("compute_ranking", "search deeper than the recursion limit") from None
+        for v in dirty:
+            s = _separator(g, v, unranked, r, m, stats)
+            if s is not None:
+                assigned.append((v, s))
         if not assigned:
             break
         for v, s in assigned:

@@ -112,8 +112,7 @@ def contains_shallow_tree(
 
     Root candidates are tried in id order; tree edges are realized in DFS
     preorder, enumerating candidate paths lexicographically.  Aborts with
-    ScaleExceeded when the backtracking tree outgrows cap_nodes or
-    recurses past the interpreter's recursion limit.  Returns
+    ScaleExceeded when the backtracking tree outgrows cap_nodes.  Returns
     None at once when the pattern has more nodes than g has vertices,
     counted by `tree_order`, which stops once the count passes g.n.
     """
@@ -122,76 +121,81 @@ def contains_shallow_tree(
     if tree_order(d, m, g.n) > g.n:
         return None
     children = tree_children(d, m)
+    # Tree edges in DFS preorder.
     edge_seq: list[tuple[int, int]] = []
-
-    def collect(node: int) -> None:
-        for c in children[node]:
-            edge_seq.append((node, c))
-            collect(c)
+    todo = [(0, c) for c in reversed(children[0])]
+    while todo:
+        edge_seq.append(todo.pop())
+        child = edge_seq[-1][1]
+        todo.extend((child, c) for c in reversed(children[child]))
 
     budget = cap_nodes
     principal: dict[int, int] = {}
     paths: dict[tuple[int, int], tuple[int, ...]] = {}
     used: set[int] = set()
 
-    def realize(k: int) -> bool:
-        # Realize edge_seq[k:]; each call is one node of the search.
+    def realize() -> bool:
+        # Realize edge_seq: frames[k] generates the candidate paths of
+        # edge_seq[k], and each pass of the outer loop is one node of the
+        # search.
         nonlocal budget
-        budget -= 1
-        if budget < 0:
-            raise ScaleExceeded("contains_shallow_tree", "node cap")
-        if k == len(edge_seq):
-            return True
-        parent, child = edge_seq[k]
-        need = len(children[child])
-        for path in _simple_paths(g, principal[parent], r + 1, used):
-            end = path[-1]
-            # A non-root principal consumes one incident edge per child path
-            # plus the arriving one.
-            if g.degree(end) < need + 1:
-                continue
-            principal[child] = end
-            paths[(parent, child)] = path
-            used.update(path[1:])
-            if realize(k + 1):
+        frames = []
+        while True:
+            budget -= 1
+            if budget < 0:
+                raise ScaleExceeded("contains_shallow_tree", "node cap")
+            if len(frames) == len(edge_seq):
                 return True
-            used.difference_update(path[1:])
-            del paths[(parent, child)]
-            del principal[child]
-        return False
+            parent = principal[edge_seq[len(frames)][0]]
+            frames.append(_simple_paths(g, parent, r + 1, used))
+            while frames:
+                edge = edge_seq[len(frames) - 1]
+                if edge in paths:
+                    used.difference_update(paths.pop(edge)[1:])
+                    del principal[edge[1]]
+                # A non-root principal consumes one incident edge per
+                # child path plus the arriving one.
+                need = len(children[edge[1]]) + 1
+                path = next((p for p in frames[-1] if g.degree(p[-1]) >= need), None)
+                if path is not None:
+                    principal[edge[1]] = path[-1]
+                    paths[edge] = path
+                    used.update(path[1:])
+                    break
+                frames.pop()
+            else:
+                return False
 
-    try:
-        collect(0)
-        for root in range(g.n):
-            if g.degree(root) < len(children[0]):
-                continue
-            principal[0] = root
-            used.add(root)
-            if realize(0):
-                return Embedding(dict(principal), dict(paths))
-            used.remove(root)
-    except RecursionError:
-        raise ScaleExceeded("contains_shallow_tree", "search deeper than the recursion limit") from None
+    for root in range(g.n):
+        if g.degree(root) < len(children[0]):
+            continue
+        principal[0] = root
+        used.add(root)
+        if realize():
+            return Embedding(dict(principal), dict(paths))
+        used.remove(root)
     return None
 
 
 def _simple_paths(g: Graph, start: int, max_edges: int, used: set[int]):
-    """Yield simple paths from start (1..max_edges edges) avoiding used."""
+    """Yield simple paths from start (1..max_edges edges) avoiding used,
+    in lexicographic order; used is read as each step is taken."""
     path = [start]
-
-    def walk():
-        if len(path) >= 2:
-            yield tuple(path)
-        if len(path) - 1 == max_edges:
-            return
-        for w in g.sorted_neighbors(path[-1]):
+    stack = [iter(g.sorted_neighbors(start))]  # untried neighbours of each path vertex
+    while stack:
+        for w in stack[-1]:
             if w in used or w in path:
                 continue
             path.append(w)
-            yield from walk()
+            yield tuple(path)
+            if len(path) - 1 < max_edges:
+                stack.append(iter(g.sorted_neighbors(w)))
+            else:
+                path.pop()
+            break
+        else:
+            stack.pop()
             path.pop()
-
-    yield from walk()
 
 
 TreeEmb = tuple[int, list]  # (root vertex, [(path, TreeEmb), ...])

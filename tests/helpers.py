@@ -19,7 +19,7 @@ from itertools import combinations, permutations, product
 from typing import Iterable, Optional, Sequence
 
 from treerank.errors import ScaleExceeded
-from treerank.generators import gen_random
+from treerank.generators import gen_halfgraph, gen_random
 from treerank.graph import Graph, make_graph, relabel, shortest_path, within_distance
 from treerank.labd import ParamFunction, near_covered_check
 from treerank.neartwin import PartPartition, symdiff
@@ -51,6 +51,23 @@ def path_graph(n: int) -> Graph:
 
 def star(leaves: int) -> Graph:
     return make_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def padded_halfgraph(t: int) -> Graph:
+    """gen_halfgraph(t) plus filler vertices 2t.. that make degrees fall
+    strictly along u_1, w_1, u_2, w_2, ... and leave every filler below
+    every half-graph vertex, so find_halfgraph's degree order places each
+    u_i and w_i at its first try and its search runs 2t+1 nodes deep.
+
+    The vertex at position p of that sequence gets degree 4t - p: it is
+    joined to fillers 2t, 2t+1, ... until it has it.  A filler has at
+    most 2t neighbours, fewer than the 2t+1 of the last position.
+    """
+    hg = gen_halfgraph(t)
+    seq = [v for i in range(t) for v in (i, t + i)]
+    extra = [4 * t - p - hg.degree(v) for p, v in enumerate(seq)]
+    edges = list(hg.edges()) + [(v, 2 * t + j) for v, e in zip(seq, extra) for j in range(e)]
+    return make_graph(2 * t + max(extra), edges)
 
 
 def disjoint_union(*graphs: Graph) -> Graph:

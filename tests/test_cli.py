@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 from treerank import cli, generators, halfgraph, labd, shallow, sparsify
 from treerank.generators import gen_random, gen_tree
-from treerank.graph import make_graph, parse_graph, write_graph
+from treerank.graph import Embedding, make_graph, parse_graph, write_graph
 from treerank.halfgraph import g_bound
+from treerank.neartwin import neartwin_graph
 from treerank.ranking import compute_ranking
 from treerank.sparsify import build_sparsifier
 
@@ -410,45 +411,47 @@ def test_scale_cap_exit_code(capsys, tmp_path):
     assert code == 3
 
 
-@pytest.mark.parametrize("g, argv, code", [
-    # grow recurses once per chosen vertex: 1,401 of the path's vertices.
-    (path_graph(1500), ["near-covered", "--k", "0", "--m", "1400", "--exact"], 3),
-    # realize recurses once per tree edge: 1,500 leaves of the star.
-    (make_graph(1600, [(0, v) for v in range(1, 1600)]),
-     ["certify", "--d", "1", "--m", "1500", "--r", "0"], 3),
-    # The JSON decoder recurses once per nesting level.
-    (path_graph(2), ["labd-check", "--f", "table:" + "[" * 100_000, "--d", "const:1"], 2),
-])
-def test_recursion_limit_is_a_scale_or_usage_error(capsys, tmp_path, g, argv, code):
+def test_near_covered_deeper_than_the_recursion_limit_certifies(capsys, tmp_path):
+    # The exact search chooses 1,401 of the path's vertices, one search
+    # level each, past Python's default recursion limit of 1,000.
+    g = path_graph(1500)
     src = tmp_path / "g.graph"
     src.write_text(write_graph(g))
-    assert cli.main(["--input", str(src), *argv]) == code
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
+    code, out = run(capsys, "--input", str(src), "near-covered", "--k", "0", "--m", "1400", "--exact")
+    assert code == 1
+    tag, mode, *ids = out.split()
+    cert = {int(v) for v in ids}
+    assert (tag, mode, len(cert)) == ("cert", "exact", 1401)
+    nt = neartwin_graph(g, 0)
+    assert all(nt.adj[v].isdisjoint(cert) for v in cert)
 
 
-def test_rank_search_deeper_than_the_recursion_limit_exits_3(capsys, tmp_path):
-    # Vertex 0 reaches 1101..1105 through 1,100 middles, all rank 1; the
-    # round-2 separator search deletes one middle per recursive call.
-    g = make_graph(1106, [(0, v) for v in range(1, 1101)]
-                   + [(v, w) for v in range(1, 1101) for w in range(1101, 1106)])
-    src = tmp_path / "deep.graph"
+def test_certify_deeper_than_the_recursion_limit_embeds(capsys, tmp_path):
+    # The search realizes the 1,500 edges of the pattern, one search
+    # level each.
+    g = make_graph(1600, [(0, v) for v in range(1, 1600)])
+    src = tmp_path / "g.graph"
     src.write_text(write_graph(g))
-    assert cli.main(["--input", str(src), "rank", "--r", "2", "--m", "1000"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == "" and "Traceback" not in captured.err
-    assert captured.err.splitlines() == [
-        "error: compute_ranking: scale cap exceeded (search deeper than the recursion limit)"
-    ]
+    code, out = run(capsys, "--input", str(src), "certify", "--d", "1", "--m", "1500", "--r", "0")
+    assert code == 0
+    principal, paths = {}, {}
+    for line in out.splitlines():
+        kind, key, *vs = line.split()
+        if kind == "principal":
+            principal[int(key)] = int(vs[0])
+        else:
+            paths[tuple(int(x) for x in key.split("-"))] = tuple(int(x) for x in vs)
+    shallow.validate_embedding(g, Embedding(principal, paths), 1, 1500, 0)
 
 
 def test_bad_parameter_function_spec_is_cut_in_the_message(capsys, tmp_path):
     src = tmp_path / "g.graph"
     src.write_text(write_graph(path_graph(2)))
+    # Nested deeper than the JSON decoder allows: a malformed spec.
     spec = "table:" + "[" * 100_000
     assert cli.main(["--input", str(src), "labd-check", "--f", spec, "--d", "const:1"]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and len(err[0]) < 300
+    assert len(err) == 1 and len(err[0]) < 300 and err[0].startswith("error: ")
     assert "'table:[[[" in err[0] and "…'" in err[0]
 
 

@@ -191,6 +191,18 @@ class TestNearCovered:
         with pytest.raises(ScaleExceeded):
             near_covered_check(g, 0, 1, cap_nodes=2)
 
+    @pytest.mark.parametrize("n, p, seed, k, m, cap, ok", [
+        (18, 0.3, 4, 6, 7, 192, False),
+        (16, 0.5, 3, 6, 6, 437, True),
+        (20, 0.4, 5, 7, 8, 1897, True),
+    ])
+    def test_each_search_node_costs_one_unit(self, n, p, seed, k, m, cap, ok):
+        # cap is the fewest nodes the exact search needs for its verdict.
+        g = gen_random(n, p, seed)
+        assert near_covered_check(g, k, m, cap_nodes=cap).ok == ok
+        with pytest.raises(ScaleExceeded):
+            near_covered_check(g, k, m, cap_nodes=cap - 1)
+
     @pytest.mark.parametrize("exact", [True, False])
     def test_pair_cap_applies_in_both_modes(self, exact):
         # Both modes build NT_k(g) with neartwin_graph, which refuses the

@@ -2,7 +2,8 @@
 
 `import treerank` loads its submodules on first use, and each CLI command
 imports only the library modules it calls, so a process compiles no more
-of the library than its command reaches.
+of the library than its command reaches.  No search's answer depends on
+the interpreter's recursion limit, a setting of the whole process.
 """
 
 import ast
@@ -17,7 +18,14 @@ import pytest
 
 import treerank
 from treerank.generators import gen_tree
-from treerank.graph import write_graph
+from treerank.graph import make_graph, write_graph
+from treerank.halfgraph import find_halfgraph, validate_halfgraph
+from treerank.labd import near_covered_check
+from treerank.neartwin import neartwin_graph
+from treerank.ranking import separator_search
+from treerank.shallow import contains_shallow_tree, validate_embedding
+
+from helpers import padded_halfgraph, path_graph, star
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -169,3 +177,42 @@ def test_cli_command_loads_only_what_it_calls(tmp_path, argv, extra):
 ])
 def test_import_loads_only_what_it_names(code, expected):
     assert loaded_after(code) == expected
+
+
+def deep_searches() -> dict:
+    """Run four exact searches, each more than 100 levels deep, check
+    their answers and return them as JSON values."""
+    # Vertex 0 reaches 151..155 through 150 middles; the first separator
+    # in branch order deletes every middle, one search level each.
+    fan = make_graph(156, [(0, v) for v in range(1, 151)]
+                     + [(v, w) for v in range(1, 151) for w in range(151, 156)])
+    sep = separator_search(fan, 0, range(151, 156), 2, 150)
+    assert sep == frozenset(range(1, 151))
+    g = star(199)
+    emb = contains_shallow_tree(g, 1, 150, 0)
+    validate_embedding(g, emb, 1, 150, 0)
+    g = path_graph(200)
+    res = near_covered_check(g, 0, 150)
+    nt = neartwin_graph(g, 0)
+    assert not res.ok and all(nt.adj[v].isdisjoint(res.certificate) for v in res.certificate)
+    g = padded_halfgraph(60)
+    wit = find_halfgraph(g, 60)
+    validate_halfgraph(g, wit)
+    return json.loads(json.dumps({
+        "separator": sorted(sep),
+        "shallow": [sorted(emb.principal.items()), sorted(emb.paths.items())],
+        "near_covered": res.certificate,
+        "halfgraph": [wit.u, wit.w],
+    }))
+
+
+def test_searches_do_not_depend_on_the_recursion_limit():
+    # The child lowers the limit to 100 after its imports; each search
+    # must still give the answer it gives here under the default limit.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(Path(__file__).parent)])}
+    code = ("import json, sys\nfrom test_package import deep_searches\n"
+            "sys.setrecursionlimit(100)\nprint(json.dumps(deep_searches()))")
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == deep_searches()

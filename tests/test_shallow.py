@@ -16,7 +16,7 @@ from treerank.shallow import (
     w_count,
 )
 
-from helpers import cycle, seeded_random_graphs
+from helpers import cycle, seeded_random_graphs, star
 
 
 class TestBoundArithmetic:
@@ -129,6 +129,24 @@ class TestContains:
         assert peak < 5_000_000
         # A pattern with exactly g.n nodes is still searched.
         assert contains_shallow_tree(gen_tree(2, 3), 2, 3, 0) is not None
+
+    def test_peak_memory_is_linear_in_the_search_depth(self):
+        # The search realizes one star edge per level: 750 and 1,500
+        # levels, both past the default recursion limit.
+        g = star(1599)
+        peaks = []
+        for m in (750, 1500):
+            tracemalloc.start()
+            try:
+                emb = contains_shallow_tree(g, 1, m, 0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            validate_embedding(g, emb, 1, m, 0)
+            peaks.append(peak)
+        # About 900 bytes a level; a quadratic search would quadruple.
+        assert peaks[1] < 2_000 * 1500
+        assert peaks[1] < 3 * peaks[0]
 
 
 class TestValidator:
