@@ -444,6 +444,20 @@ def test_certify_deeper_than_the_recursion_limit_embeds(capsys, tmp_path):
     shallow.validate_embedding(g, Embedding(principal, paths), 1, 1500, 0)
 
 
+@pytest.mark.parametrize("g, argv, code", [
+    # The JSON decoder recurses once per nesting level. The id keeps the
+    # name the case had when the table also held the two searches above.
+    pytest.param(path_graph(2), ["labd-check", "--f", "table:" + "[" * 100_000, "--d", "const:1"], 2,
+                 id="g2-argv2-2"),
+])
+def test_recursion_limit_is_a_scale_or_usage_error(capsys, tmp_path, g, argv, code):
+    src = tmp_path / "g.graph"
+    src.write_text(write_graph(g))
+    assert cli.main(["--input", str(src), *argv]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_bad_parameter_function_spec_is_cut_in_the_message(capsys, tmp_path):
     src = tmp_path / "g.graph"
     src.write_text(write_graph(path_graph(2)))
