@@ -315,23 +315,23 @@ def _class_spec(args) -> labd.ClassSpec:
 def _cmd_labd(args, g: Graph) -> tuple[str, int]:
     from . import labd
 
-    res = labd.labd_check(g, _class_spec(args), r_max=args.r_max)
-    if res.ok:
+    cert = labd.labd_check(g, _class_spec(args), r_max=args.r_max)
+    if cert is None:
         return "ok\n", EXIT_OK
-    r, v, offenders = res.certificate
+    r, v, offenders = cert
     return f"cert r {r} v {v} offending " + " ".join(map(str, offenders)) + "\n", EXIT_FALSE
 
 
 def _cmd_near_covered(args, g: Graph) -> tuple[str, int]:
     from . import labd
 
-    res = labd.near_covered_check(
+    cert = labd.near_covered_check(
         g, args.k, args.m, exact=args.exact, **_cap("cap_nodes", args.cap_nodes)
     )
-    mode = "exact" if res.exact else "greedy"
-    if res.ok:
+    mode = "exact" if args.exact else "greedy"
+    if cert is None:
         return f"ok {mode}\n", EXIT_OK
-    return f"cert {mode} " + " ".join(map(str, res.certificate)) + "\n", EXIT_FALSE
+    return f"cert {mode} " + " ".join(map(str, cert)) + "\n", EXIT_FALSE
 
 
 def _provenance_lines(sg: sparsify.SparsifiedGraph) -> list[str]:

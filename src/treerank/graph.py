@@ -277,6 +277,13 @@ def write_graph(g: Graph) -> str:
 # Neighborhoods, flips, and subgraphs.
 
 
+def check_vertices(g: Graph, vs: Iterable[int]) -> None:
+    """Raise ValueError on the first of vs that is not a vertex of g."""
+    for v in vs:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range for n={g.n}")
+
+
 def within_distance(
     g: Graph,
     centers: list[int],
@@ -364,10 +371,7 @@ def flip(g: Graph, a: Iterable[int], b: Iterable[int]) -> Graph:
     the same sets restores the original graph.
     """
     fa, fb = frozenset(a), frozenset(b)
-    for s in (fa, fb):
-        for v in s:
-            if not (0 <= v < g.n):
-                raise ValueError(f"vertex {v} out of range")
+    check_vertices(g, fa | fb)
     if fa != fb and fa & fb:
         raise ValueError("flip sets must be disjoint or equal")
     parts = [fa] if fa == fb else [fa, fb]
@@ -383,9 +387,7 @@ def s_flip_classes(g: Graph, s: Iterable[int]) -> list[tuple[int, ...]]:
     by their S-neighborhood signature.
     """
     fs = frozenset(s)
-    for v in fs:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} out of range")
+    check_vertices(g, fs)
     classes: list[tuple[int, ...]] = [(v,) for v in sorted(fs)]
     by_sig: dict[tuple[int, ...], list[int]] = {}
     for v in range(g.n):

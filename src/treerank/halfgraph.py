@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .errors import BOUND_MAX_BITS, ScaleExceeded
-from .graph import Graph, record, shortest_path
+from .graph import Graph, check_vertices, record, shortest_path
 from .neartwin import neartwin_graph, symdiff
 
 
@@ -134,10 +134,11 @@ def extract_halfgraph(
 ) -> HalfgraphExtraction:
     """Run the constructive argument along a near-twin path.
 
-    nt_path must be a simple path v_1..v_m in NT_k(g) and the surplus set
-    S = N(v_m) \\ N(v_1) must have at least g_bound(t + 1, k, t)
-    elements; raises ValueError when either fails.  Returns the w/X chain
-    plus the selected u side; every free choice takes the smallest id.
+    nt_path must be a simple path v_1..v_m of vertices of g in NT_k(g),
+    and the surplus set S = N(v_m) \\ N(v_1) must have at least
+    g_bound(t + 1, k, t) elements; raises ValueError when either fails.
+    Returns the w/X chain plus the selected u side; every free choice
+    takes the smallest id.
     A failure the proof rules out (consecutive path vertices differ by at
     most k, and g(t) - k >= g(t-1) + c) raises RuntimeError.
     """
@@ -145,6 +146,7 @@ def extract_halfgraph(
         raise ValueError("need t >= 1")
     c = t + 1
     path = list(nt_path)
+    check_vertices(g, path)
     if len(path) < 1 or len(set(path)) != len(path):
         raise ValueError("input is not a simple path")
     for a, b in zip(path, path[1:]):
@@ -234,12 +236,14 @@ def extract_halfgraph_for_pair(
     """Extraction driver for a same-component pair differing too much.
 
     Orients the pair so the surplus side is large enough, finds a
-    near-twin path between them, and extracts.  Raises ValueError when
-    neither one-sided difference reaches g_bound(t + 1, k, t) or the
-    pair shares no near-twin path, and RuntimeError as extract_halfgraph
-    does.  The path search raises ScaleExceeded, as neartwin_graph does,
-    when g has more than GRAPH_MAX_PAIRS vertex pairs.
+    near-twin path between them, and extracts.  Raises ValueError when u
+    or v is not a vertex of g, neither one-sided difference reaches
+    g_bound(t + 1, k, t) or the pair shares no near-twin path, and
+    RuntimeError as extract_halfgraph does.  The path search raises
+    ScaleExceeded, as neartwin_graph does, when g has more than
+    GRAPH_MAX_PAIRS vertex pairs.
     """
+    check_vertices(g, (u, v))
     need = g_bound(t + 1, k, t)
     if len(g.adj[v] - g.adj[u]) >= need:
         lo, hi = u, v

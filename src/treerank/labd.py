@@ -99,20 +99,16 @@ class ClassSpec:
     d: ParamFunction
 
 
-@record
-class LabdResult:
-    ok: bool
-    certificate: Optional[tuple[int, int, tuple[int, ...]]] = None  # (r, v, offenders)
-
-
-def labd_check(g: Graph, spec: ClassSpec, r_max: Optional[int] = None) -> LabdResult:
+def labd_check(
+    g: Graph, spec: ClassSpec, r_max: Optional[int] = None
+) -> Optional[tuple[int, int, tuple[int, ...]]]:
     """Check the bounded-exception degree condition for all r up to n.
 
     Radii where either bound exceeds n are trivially satisfied and
     skipped.  Passing r_max truncates the scan, which is a strictly
     weaker check (fewer radii inspected); a negative r_max, which would
-    inspect none, raises ValueError.  On failure, returns the first
-    (r, v) with the offending high-degree set.
+    inspect none, raises ValueError.  Returns None when g passes, else
+    the first failing (r, v) as (r, v, sorted high-degree offenders).
 
     Balls are grown afresh for each (r, v) until they fill v's connected
     component, which every vertex of the component then shares, so
@@ -140,16 +136,8 @@ def labd_check(g: Graph, spec: ClassSpec, r_max: Optional[int] = None) -> LabdRe
             filled[v] = len(ball) == len(component[v])
             offenders = [u for u in ball if degs[u] > d_r]
             if len(offenders) > f_r:
-                return LabdResult(False, (r, v, tuple(sorted(offenders))))
-    return LabdResult(True)
-
-
-@record
-class NearCoveredResult:
-    ok: bool
-    exact: bool
-    # On a False verdict: m+1 vertices that are pairwise not k-near-twins.
-    certificate: Optional[tuple[int, ...]] = None
+                return r, v, tuple(sorted(offenders))
+    return None
 
 
 def near_covered_check(
@@ -158,17 +146,16 @@ def near_covered_check(
     m: int,
     exact: bool = True,
     cap_nodes: int = 2_000_000,
-) -> NearCoveredResult:
+) -> Optional[tuple[int, ...]]:
     """Is every set of pairwise non-k-near-twins of size at most m?
 
-    Exact mode searches for m+1 vertices that are pairwise not
-    k-near-twins (an independent set in NT_k); verdicts are exact but the
-    search is capped.  Greedy mode builds one maximal set by smallest-id
-    choice: its False verdicts are sound, its True verdicts heuristic
-    (flagged by exact=False in the result).  Both modes build NT_k(g)
-    with neartwin_graph, so both raise ScaleExceeded when g has more than
-    GRAPH_MAX_PAIRS vertex pairs; exact mode raises it too when the search
-    outgrows cap_nodes.
+    Returns None when it is, else m+1 vertices that are pairwise not
+    k-near-twins (an independent set in NT_k).  Exact mode searches for
+    such a set, so both answers are exact.  Greedy mode builds one maximal
+    set by smallest-id choice, so a set it returns is sound but its None
+    is heuristic.  Both modes build NT_k(g) with neartwin_graph, so both
+    raise ScaleExceeded when g has more than GRAPH_MAX_PAIRS vertex
+    pairs; exact mode raises it too when the search outgrows cap_nodes.
     """
     if k < 0 or m < 0:
         raise ValueError("need k >= 0 and m >= 0")
@@ -179,9 +166,7 @@ def near_covered_check(
         for v in range(n):
             if all(u not in nt_adj[v] for u in chosen):
                 chosen.append(v)
-        if len(chosen) > m:
-            return NearCoveredResult(False, False, tuple(chosen[: m + 1]))
-        return NearCoveredResult(True, False)
+        return tuple(chosen[: m + 1]) if len(chosen) > m else None
     # Exact: backtrack over vertex ids for m+1 pairwise non-adjacent
     # vertices of NT_k; each pass of the loop is one node of the search,
     # and a node that fails resumes its parent after the parent's choice.
@@ -192,7 +177,7 @@ def near_covered_check(
         if budget < 0:
             raise ScaleExceeded("near_covered_check", "node cap")
         if len(chosen) == m + 1:
-            return NearCoveredResult(False, True, tuple(chosen))
+            return tuple(chosen)
         if len(chosen) + (n - start) < m + 1:
             start = n  # too few ids left: the node fails
         while True:
@@ -200,7 +185,7 @@ def near_covered_check(
             if v is not None:
                 break
             if not chosen:
-                return NearCoveredResult(True, True)
+                return None
             start = chosen.pop() + 1
         chosen.append(v)
         start = v + 1

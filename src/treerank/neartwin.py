@@ -12,11 +12,12 @@ from itertools import islice
 from typing import Callable, Optional
 
 from .errors import GRAPH_MAX_PAIRS, ScaleExceeded
-from .graph import Graph, make_graph, record
+from .graph import Graph, check_vertices, make_graph, record
 
 
 def symdiff(g: Graph, u: int, v: int) -> int:
     """Size of the symmetric difference of the open neighborhoods."""
+    check_vertices(g, (u, v))
     if u == v:
         raise ValueError("near-twin difference is undefined for a vertex and itself")
     return len(g.adj[u] ^ g.adj[v])
@@ -26,7 +27,6 @@ def symdiff(g: Graph, u: int, v: int) -> int:
 class NearTwinView:
     """NT_k(G) with its connected-component partition."""
 
-    k: int
     nt_graph: Graph
     components: tuple[tuple[int, ...], ...]
 
@@ -39,7 +39,7 @@ def neartwin_view(g: Graph, k: int) -> NearTwinView:
     more than GRAPH_MAX_PAIRS vertex pairs.
     """
     nt = neartwin_graph(g, k)
-    return NearTwinView(k, nt, component_partition(g, k).parts)
+    return NearTwinView(nt, component_partition(g, k).parts)
 
 
 def neartwin_graph(g: Graph, k: int) -> Graph:
@@ -86,7 +86,6 @@ def _near_test(g: Graph, k: int) -> Callable[[int, int], bool]:
 class PartPartition:
     """Connected components of NT_k(G), each sorted, ordered by minimum."""
 
-    k: int
     parts: tuple[tuple[int, ...], ...]
 
     def part_of(self) -> dict[int, int]:
@@ -150,4 +149,4 @@ def component_partition(g: Graph, k: int) -> PartPartition:
     groups: dict[int, list[int]] = {}
     for v in range(g.n):
         groups.setdefault(find(v), []).append(v)
-    return PartPartition(k, tuple(sorted(tuple(vs) for vs in groups.values())))
+    return PartPartition(tuple(sorted(tuple(vs) for vs in groups.values())))

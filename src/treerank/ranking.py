@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from typing import AbstractSet, Iterable, Mapping, Optional
 
-from .graph import Graph, field, record, shortest_path, within_distance
+from .graph import Graph, check_vertices, field, record, shortest_path, within_distance
 
 INF = math.inf
 
@@ -88,8 +88,7 @@ def separator_search(
     shortest-path structure, so the search tree has at most
     sum(r^i for i <= m) nodes.
     """
-    if not 0 <= v < g.n:
-        raise ValueError(f"center {v} out of range for n={g.n}")
+    check_vertices(g, [v])
     fa = frozenset(a)
     if v in fa:
         raise ValueError("separator target set must not contain the center")

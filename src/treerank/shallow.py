@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .errors import BOUND_MAX_BITS, ScaleExceeded
 from .generators import tree_children, tree_order
-from .graph import Embedding, Graph, shortest_path, within_distance
+from .graph import Embedding, Graph, check_vertices, shortest_path, within_distance
 
 # Annotations only: `certify` without --extract never loads ranking.
 if TYPE_CHECKING:
@@ -211,9 +211,9 @@ def extract_shallow_tree(
 ) -> Embedding:
     """Build an embedding of the (d, m) pattern rooted at v.
 
-    Preconditions: ra was computed with parameters (r, m_prime(d, r, m))
-    and ra rank of v exceeds d (infinity allowed).  Raises ValueError if
-    either fails; a failure the proof rules out raises RuntimeError.
+    Preconditions: v is a vertex of g whose rank in ra exceeds d
+    (infinity allowed), and ra has parameters (r, m_prime(d, r, m)).
+    Raises ValueError if one fails; RuntimeError means a proved step failed.
     """
     if d < 1 or m < 1 or r < 1:
         raise ValueError("need d >= 1, m >= 1, r >= 1")
@@ -222,6 +222,7 @@ def extract_shallow_tree(
         raise ValueError(
             f"ranking has parameters (r={ra.r}, m={ra.m}); extraction needs (r={r}, m={mp})"
         )
+    check_vertices(g, [v])
     if not ra.ranks[v] > d:
         raise ValueError(f"vertex {v} has rank {ra.ranks[v]}, need more than {d}")
     return _freeze(_extract(g, ra, v, d, m, r))

@@ -24,15 +24,9 @@ if TYPE_CHECKING:
     from .labd import ClassSpec
 
 
-@record
-class HeavyClassification:
-    h: int
-    heavy: frozenset[int]
-    mutually_heavy: frozenset[tuple[int, int]]  # unordered, stored (i, j) with i <= j
-
-
-def classify_heavy(g: Graph, partition: PartPartition, h: int) -> HeavyClassification:
-    """Exact heavy / mutually heavy classification by direct counting.
+def classify_heavy(g: Graph, partition: PartPartition, h: int) -> frozenset[tuple[int, int]]:
+    """The mutually heavy part pairs (i, j), i <= j, by direct counting;
+    the heavy parts are those in some pair.
 
     The witness condition is symmetric over the unordered pair: either
     side may contain the vertex with more than 2h cross neighbors.
@@ -41,22 +35,19 @@ def classify_heavy(g: Graph, partition: PartPartition, h: int) -> HeavyClassific
         raise ValueError("heaviness threshold must be >= 1")
     part_of = partition.part_of()
     sizes = [len(p) for p in partition.parts]
-    counts: list[dict[int, int]] = [dict() for _ in range(g.n)]
-    for u in range(g.n):
-        cu = counts[u]
-        for v in g.adj[u]:
-            pv = part_of[v]
-            cu[pv] = cu.get(pv, 0) + 1
     pairs: set[tuple[int, int]] = set()
     for u in range(g.n):
         pu = part_of[u]
         if sizes[pu] < 5 * h + 1:
             continue
-        for pv, cnt in counts[u].items():
+        counts: dict[int, int] = {}
+        for v in g.adj[u]:
+            pv = part_of[v]
+            counts[pv] = counts.get(pv, 0) + 1
+        for pv, cnt in counts.items():
             if cnt > 2 * h and sizes[pv] >= 5 * h + 1:
                 pairs.add((min(pu, pv), max(pu, pv)))
-    heavy = frozenset(i for pair in pairs for i in pair)
-    return HeavyClassification(h, heavy, frozenset(pairs))
+    return frozenset(pairs)
 
 
 @record
@@ -68,7 +59,6 @@ class SparsifiedGraph:
     flipped_pairs: tuple[tuple[int, int], ...]
     original_n: int
     partition: PartPartition
-    h: int
 
 
 def build_sparsifier(g: Graph, k: int, h: int) -> SparsifiedGraph:
@@ -86,11 +76,11 @@ def build_sparsifier(g: Graph, k: int, h: int) -> SparsifiedGraph:
         if reserved in g.predicates:
             raise ValueError(f"input graph already uses reserved predicate {reserved!r}")
     partition = component_partition(g, k)
-    hc = classify_heavy(g, partition, h)
-    flips = tuple(sorted(hc.mutually_heavy))
+    flips = tuple(sorted(classify_heavy(g, partition, h)))
 
     adj = flip_parts(g.adj, partition.parts, flips)
-    apex = {i: g.n + idx for idx, i in enumerate(sorted(hc.heavy))}
+    heavy = sorted({i for pair in flips for i in pair})
+    apex = {i: g.n + idx for idx, i in enumerate(heavy)}
     for i, a_vertex in apex.items():
         for u in partition.parts[i]:
             adj[u] = adj[u] | {a_vertex}
@@ -105,7 +95,7 @@ def build_sparsifier(g: Graph, k: int, h: int) -> SparsifiedGraph:
         "F": frozenset(apex[i] for i, j in flips if i == j),
     }
     out = Graph(len(adj), tuple(adj), {name: vs for name, vs in preds.items() if vs})
-    return SparsifiedGraph(out, apex, flips, g.n, partition, h)
+    return SparsifiedGraph(out, apex, flips, g.n, partition)
 
 
 class RecoverError(ValueError):
@@ -220,7 +210,7 @@ def sflip_driver(
             spec = tuple(p for bit, p in enumerate(pair_list) if mask >> bit & 1)
             flipped = s_flip(g, subset, spec)
             sg = build_sparsifier(flipped, k, h)
-            if labd_check(sg.graph, verifier).ok:
+            if labd_check(sg.graph, verifier) is None:
                 if recover(sg) != flipped:
                     raise RuntimeError(f"recovery is not exact for S={subset}, flips {spec}")
                 return SflipResult(subset, spec, tuple(classes), flipped, sg)

@@ -334,14 +334,6 @@ def labd_certificate_by_table(g: Graph, spec, r_max=None):
     return None
 
 
-@dataclass(frozen=True)
-class LocalNearCoveredResult:
-    ok: bool
-    exact: bool
-    # On failure: (r, ball center, offending vertices in g's ids).
-    certificate: Optional[tuple[int, int, tuple[int, ...]]] = None
-
-
 def locally_near_covered_check(
     g: Graph,
     kf: ParamFunction,
@@ -349,15 +341,16 @@ def locally_near_covered_check(
     r_max: int,
     exact: bool = True,
     cap_nodes: int = 2_000_000,
-) -> LocalNearCoveredResult:
+) -> Optional[tuple[int, int, tuple[int, ...]]]:
     """Check near-coverage of every radius-r ball for r <= r_max.
 
-    Radii where k(r) or m(r) overflows the budget n are trivially
-    satisfied.  Near-twin differences are computed inside the induced
-    ball subgraph, not the host graph.
+    Returns None when every ball passes, else (r, ball center, offending
+    vertices in g's ids) for the first ball that fails.  Radii where k(r)
+    or m(r) overflows the budget n are trivially satisfied.  Near-twin
+    differences are computed inside the induced ball subgraph, not the
+    host graph.
     """
     n = g.n
-    all_exact = True
     for r in range(r_max + 1):
         k_r = kf.eval(r, n)
         m_r = mf.eval(r, n)
@@ -366,13 +359,11 @@ def locally_near_covered_check(
         for v in range(n):
             ball = closed_ball(g, v, r)
             sub, remap = induced(g, ball)
-            res = near_covered_check(sub, k_r, m_r, exact=exact, cap_nodes=cap_nodes)
-            all_exact = all_exact and res.exact
-            if not res.ok:
+            cert = near_covered_check(sub, k_r, m_r, exact=exact, cap_nodes=cap_nodes)
+            if cert is not None:
                 back = {i: orig for orig, i in remap.items()}
-                cert = tuple(sorted(back[i] for i in res.certificate))
-                return LocalNearCoveredResult(False, res.exact, (r, v, cert))
-    return LocalNearCoveredResult(True, all_exact)
+                return r, v, tuple(sorted(back[i] for i in cert))
+    return None
 
 
 def light_parts(g: Graph, partition: PartPartition, h: int) -> frozenset[int]:

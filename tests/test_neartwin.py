@@ -45,6 +45,12 @@ class TestSymdiff:
         with pytest.raises(ValueError):
             symdiff(star(3), 1, 1)
 
+    @pytest.mark.parametrize("u, v", [(-1, 0), (0, 4)])
+    def test_out_of_range_vertex_rejected(self, u, v):
+        # Without the check, -1 would index the last row.
+        with pytest.raises(ValueError, match="out of range"):
+            symdiff(star(3), u, v)
+
     def test_symmetric(self):
         g = gen_random(9, 0.4, 3)
         for u in range(g.n):
@@ -189,6 +195,13 @@ class TestExtraction:
         with pytest.raises(ValueError, match="near-twin"):
             extract_halfgraph(g, [1, 0], 0, 1)  # symdiff(1, 0) = 6 > 0
 
+    @pytest.mark.parametrize("path", [[4], [-1, 3]])
+    def test_path_vertex_out_of_range_rejected(self, path):
+        # -1 and 3 name the same row, but -1 is no vertex.
+        g = make_graph(4, [(3, 0), (3, 1), (3, 2)])
+        with pytest.raises(ValueError, match="out of range"):
+            extract_halfgraph(g, path, 1, 1)
+
     def test_halfgraph_gadget_extraction(self):
         t, k = 2, 1
         g = gen_halfgraph(16)
@@ -211,6 +224,12 @@ class TestExtraction:
         g = complete_graph(6)
         with pytest.raises(ValueError, match="neither one-sided difference"):
             extract_halfgraph_for_pair(g, 2, 2, 0, 1)
+
+    @pytest.mark.parametrize("u, v", [(0, 9), (-1, 0)])
+    def test_pair_vertex_out_of_range_rejected(self, u, v):
+        g = make_graph(4, [(3, 0), (3, 1), (3, 2)])
+        with pytest.raises(ValueError, match="out of range"):
+            extract_halfgraph_for_pair(g, 1, 1, u, v)
 
 
 class TestClosenessProperty:

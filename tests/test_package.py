@@ -3,7 +3,8 @@
 `import treerank` loads its submodules on first use, and each CLI command
 imports only the library modules it calls, so a process compiles no more
 of the library than its command reaches.  No search's answer depends on
-the interpreter's recursion limit, a setting of the whole process.
+the interpreter's recursion limit, a setting of the whole process.  Every
+check and search returns the certificate it found, or None.
 """
 
 import ast
@@ -17,15 +18,16 @@ from pathlib import Path
 import pytest
 
 import treerank
-from treerank.generators import gen_tree
-from treerank.graph import make_graph, write_graph
+from treerank.generators import gen_halfgraph, gen_tree
+from treerank.graph import make_graph, s_flip, within_distance, write_graph
 from treerank.halfgraph import find_halfgraph, validate_halfgraph
-from treerank.labd import near_covered_check
-from treerank.neartwin import neartwin_graph
+from treerank.labd import ClassSpec, ParamFunction, labd_check, near_covered_check
+from treerank.neartwin import neartwin_graph, symdiff
 from treerank.ranking import separator_search
 from treerank.shallow import contains_shallow_tree, validate_embedding
+from treerank.sparsify import recover, sflip_driver
 
-from helpers import padded_halfgraph, path_graph, star
+from helpers import complete_graph, cycle, padded_halfgraph, path_graph, star
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -192,16 +194,16 @@ def deep_searches() -> dict:
     emb = contains_shallow_tree(g, 1, 150, 0)
     validate_embedding(g, emb, 1, 150, 0)
     g = path_graph(200)
-    res = near_covered_check(g, 0, 150)
+    cert = near_covered_check(g, 0, 150)
     nt = neartwin_graph(g, 0)
-    assert not res.ok and all(nt.adj[v].isdisjoint(res.certificate) for v in res.certificate)
+    assert cert is not None and all(nt.adj[v].isdisjoint(cert) for v in cert)
     g = padded_halfgraph(60)
     wit = find_halfgraph(g, 60)
     validate_halfgraph(g, wit)
     return json.loads(json.dumps({
         "separator": sorted(sep),
         "shallow": [sorted(emb.principal.items()), sorted(emb.paths.items())],
-        "near_covered": res.certificate,
+        "near_covered": cert,
         "halfgraph": [wit.u, wit.w],
     }))
 
@@ -216,3 +218,53 @@ def test_searches_do_not_depend_on_the_recursion_limit():
                            text=True, timeout=120)
     assert child.returncode == 0, child.stderr
     assert json.loads(child.stdout) == deep_searches()
+
+
+# At most 0 vertices of degree above 2 in any ball.
+_SPEC = ClassSpec(ParamFunction("const", (0,)), ParamFunction("const", (2,)))
+
+
+def _check_offenders(g, cert):
+    r, v, offenders = cert
+    ball = within_distance(g, [v], r)
+    assert offenders and offenders == tuple(sorted(u for u in ball if g.degree(u) > 2))
+
+
+def _check_non_twins(g, cert):
+    assert len(cert) == 4
+    assert all(symdiff(g, u, v) > 1 for i, u in enumerate(cert) for v in cert[i + 1:])
+
+
+def _check_separator(g, cert):
+    assert len(cert) <= 1 and 0 not in cert
+    assert within_distance(g, [0], 2, cert).isdisjoint({1, 2})
+
+
+def _check_sflip(g, res):
+    assert res.flipped_graph == s_flip(g, res.s, res.flip_spec)
+    assert labd_check(res.sparsified.graph, _SPEC) is None
+    assert recover(res.sparsified) == res.flipped_graph
+
+
+# (check, graph it answers None on, graph it certifies, certificate validator)
+CONVENTION = {
+    "labd_check": (lambda g: labd_check(g, _SPEC), cycle(10), star(6), _check_offenders),
+    "near_covered_exact": (lambda g: near_covered_check(g, 1, 3), make_graph(5),
+                           complete_graph(4), _check_non_twins),
+    "near_covered_greedy": (lambda g: near_covered_check(g, 1, 3, exact=False), make_graph(5),
+                            complete_graph(4), _check_non_twins),
+    "contains_shallow_tree": (lambda g: contains_shallow_tree(g, 1, 3, 0), path_graph(4), star(3),
+                              lambda g, emb: validate_embedding(g, emb, 1, 3, 0)),
+    "find_halfgraph": (lambda g: find_halfgraph(g, 3), path_graph(6), gen_halfgraph(3),
+                       validate_halfgraph),
+    "separator_search": (lambda g: separator_search(g, 0, {1, 2}, 2, 1), cycle(4), path_graph(3),
+                         _check_separator),
+    "sflip_driver": (lambda g: sflip_driver(g, 0, 0, 1, _SPEC), star(6), cycle(10), _check_sflip),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONVENTION))
+def test_every_check_returns_its_certificate_or_none(name):
+    check, absent, present, validate = CONVENTION[name]
+    assert check(absent) is None
+    validate(present, check(present))

@@ -186,6 +186,14 @@ class TestExtraction:
         with pytest.raises(ValueError, match="rank"):
             extract_shallow_tree(g, ra, 1, 1, 3, 1)
 
+    @pytest.mark.parametrize("v", [-1, 4])
+    def test_vertex_out_of_range_rejected(self, v):
+        # Without the check, -1 would root the pattern at vertex 3.
+        g = make_graph(4, [(3, 0), (3, 1), (3, 2)])
+        ra = compute_ranking(g, 1, m_prime(1, 1, 2))
+        with pytest.raises(ValueError, match="out of range"):
+            extract_shallow_tree(g, ra, v, 1, 2, 1)
+
     def test_wrong_parameters_rejected(self):
         g = gen_tree(1, 5)
         ra = compute_ranking(g, 1, 4)  # m_prime(1,1,3) is 2, not 4
