@@ -28,14 +28,11 @@ _EXPORTS = {
         "subdivide",
     ),
     "graph": (
-        "Embedding",
         "Graph",
         "ParseError",
         "flip",
         "make_graph",
         "parse_graph",
-        "s_flip",
-        "s_flip_classes",
         "write_graph",
     ),
     "halfgraph": (
@@ -67,6 +64,7 @@ _EXPORTS = {
         "separator_search",
     ),
     "shallow": (
+        "Embedding",
         "contains_shallow_tree",
         "extract_shallow_tree",
         "m_prime",
@@ -79,6 +77,8 @@ _EXPORTS = {
         "classify_heavy",
         "recover",
         "recover_graph",
+        "s_flip",
+        "s_flip_classes",
         "sflip_driver",
     ),
 }

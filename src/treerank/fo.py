@@ -4,21 +4,22 @@ Formulas are a small immutable AST built from this module's
 constructors: atoms `Edge(x, y)`, `Pred(name, x)`, `Eq(x, y)` and
 `Const(value)`, connectives `Not`, `And` and `Or` (or `conj(...)` and
 `disj(...)`), and quantifiers `Exists(v, f)` and `Forall(v, f)`, with
-variables and predicate names as strings.  Each formula is compiled once
-into nested closures that enumerate quantified variables over all
-vertices, except that an existential over a conjunction ranges over its
-first guard conjunct (as in the guarded fragment): `Pred(name, v)`
-limits v to the predicate's vertices, and `Edge(v, u)` or `Edge(u, v)`
-with u another bound variable to u's neighbors.  The bound variables
-are known statically, so each guard is chosen at compile time.  Values
-outside the guard falsify the conjunction, so restricting the range
-never changes a truth value.
+variables and predicate names as strings.
+
+Evaluation is set at a time: a formula is compiled once, for one
+variable y, into closures returning the values of y that satisfy it
+(`Edge(x, y)` gives x's row).  `Or` is a union, and `And` intersects
+its parts and subtracts its negated ones, so negation is a difference.
+`Forall(v, ...)` intersects over all vertices and `Exists(v, ...)`
+unites over v's range: for a conjunction, its first guard conjunct,
+`Pred(name, v)` or an `Edge` from v to a bound variable u, so v ranges
+over the predicate or u's neighbors; else all vertices.  Values outside
+the guard falsify the conjunction, so a guard never changes a result.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Callable, Iterable, Mapping, Union
+from typing import AbstractSet, Callable, Iterable, Mapping, Optional, Union
 
 from .graph import Graph, record, relabel, within_distance
 
@@ -108,71 +109,142 @@ def evaluate(g: Graph, f: Formula, assignment: Mapping[str, int]) -> bool:
     Raises ValueError if a free variable of f is unassigned.  Predicate
     names absent from g are treated as empty sets.
     """
-    missing = free_vars(f) - set(assignment)
+    free = free_vars(f)
+    missing = free - set(assignment)
     if missing:
         raise ValueError(f"unbound free variables: {sorted(missing)}")
-    return _compile(f, frozenset(assignment))(g, dict(assignment))
+    y = min(free, default=None)  # None: f is closed, and solved for no variable
+    values = _compile(f, frozenset(assignment) - {y}, y)(g, dict(assignment))
+    return values is None or (y is not None and assignment[y] in values)
 
 
-def _compile(f: Formula, bound: frozenset[str]) -> Callable[[Graph, dict[str, int]], bool]:
+# A compiled formula's values of y, None standing for every vertex.  A
+# formula without y free gives None when true and an empty set when false.
+Values = Optional[AbstractSet[int]]
+_EMPTY: frozenset[int] = frozenset()
+
+
+def _compile(f: Formula, bound: frozenset[str], y: Optional[str]) -> Callable[[Graph, dict[str, int]], Values]:
     """f as a closure over (g, env), where env assigns the variables in
-    bound; quantifiers bind their variable in a copy of env."""
-    if isinstance(f, Edge):
-        x, y = f.x, f.y
-        return lambda g, env: env[y] in g.adj[env[x]]
-    if isinstance(f, Eq):
-        x, y = f.x, f.y
-        return lambda g, env: env[x] == env[y]
+    bound (never y), returning the values of y that satisfy f.
+
+    Quantifiers bind their variable in a copy of env.  A returned set
+    may be one of g's rows, so no caller mutates it.
+    """
+    if isinstance(f, (Edge, Eq)):
+        a, b, eq = f.x, f.y, isinstance(f, Eq)
+        if a == b:
+            return _compile(Const(eq), bound, y)
+        if y in (a, b):
+            other = a if b == y else b
+            return (lambda g, env: {env[other]}) if eq else (lambda g, env: g.adj[env[other]])
+        if eq:
+            return lambda g, env: None if env[a] == env[b] else _EMPTY
+        return lambda g, env: None if env[b] in g.adj[env[a]] else _EMPTY
     if isinstance(f, Pred):
-        name, x = f.name, f.x
-        return lambda g, env: env[x] in g.predicates.get(name, frozenset())
+        name, a = f.name, f.x
+        if a == y:
+            return lambda g, env: g.predicates.get(name, _EMPTY)
+        return lambda g, env: None if env[a] in g.predicates.get(name, _EMPTY) else _EMPTY
     if isinstance(f, Const):
-        value = f.value
+        value = None if f.value else _EMPTY
         return lambda g, env: value
     if isinstance(f, Not):
-        inner = _compile(f.f, bound)
-        return lambda g, env: not inner(g, env)
-    if isinstance(f, (And, Or)):
-        parts = [_compile(p, bound) for p in f.parts]
-        decisive = isinstance(f, Or)  # the part value that decides the result
+        inner = _compile(f.f, bound, y)
+        return lambda g, env: _complement(g, inner(g, env))
+    if isinstance(f, Or):
+        parts = [_compile(p, bound, y) for p in f.parts]
 
-        def junction(g, env):
+        def union(g, env):
+            out: AbstractSet[int] = _EMPTY
             for part in parts:
-                if part(g, env) == decisive:
-                    return decisive
-            return not decisive
+                values = part(g, env)
+                if values is None:
+                    return None
+                if values:
+                    out = out | values if out else values
+            return out
 
-        return junction
-    if isinstance(f, (Exists, Forall)):
-        var, decisive = f.var, isinstance(f, Exists)  # one such instance decides
-        inner = _compile(f.f, bound | {var})
-        domain = _domain(f, bound)
+        return union
+    if isinstance(f, And):
+        # Negated parts come last, so the complement of all vertices is
+        # built only when no positive part restricts y.
+        positive = [_compile(p, bound, y) for p in f.parts if not isinstance(p, Not)]
+        negated = [_compile(p.f, bound, y) for p in f.parts if isinstance(p, Not)]
 
-        def quantifier(g, env):
-            env = dict(env)  # the caller's binding of var, if any, stays
-            for v in domain(g, env):
-                env[var] = v
-                if inner(g, env) == decisive:
-                    return decisive
-            return not decisive
+        def intersection(g, env):
+            out: Values = None
+            for part in positive:
+                values = part(g, env)
+                if values is not None:
+                    out = values if out is None else out & values
+                    if not out:
+                        return out
+            for part in negated:
+                values = part(g, env)
+                if values is None:
+                    return _EMPTY
+                if values:
+                    out = (set(range(g.n)) if out is None else out) - values
+                    if not out:
+                        return out
+            return out
 
-        return quantifier
-    raise TypeError(f"not a formula: {f!r}")
+        return intersection
+    if not isinstance(f, (Exists, Forall)):
+        raise TypeError(f"not a formula: {f!r}")
+    var = f.var
+    if var == y:  # the quantifier hides y, so its body is solved for no variable
+        return _compile(f, bound, None)
+    domain, body = _guard(f, bound)
+    inner = _compile(body, bound | {var}, y)
+    forall = isinstance(f, Forall)
+
+    def quantifier(g, env):
+        env = dict(env)  # the caller's binding of var, if any, stays
+        out: Values = None if forall else _EMPTY
+        for v in domain(g, env):
+            env[var] = v
+            values = inner(g, env)
+            if forall:  # an intersection, which an empty set ends
+                if values is not None:
+                    out = values if out is None else out & values
+                    if not out:
+                        return out
+            elif values is None:  # a union, which every vertex ends
+                return None
+            elif values:
+                out = out | values if out else values
+        return out
+
+    return quantifier
 
 
-def _domain(f: Union[Exists, Forall], bound: frozenset[str]) -> Callable[..., Iterable[int]]:
-    """Values f.var ranges over: an existential's first guard, else all."""
+def _complement(g: Graph, values: Values) -> Values:
+    """The vertices not in values; None and the empty set swap, so a
+    formula without y still gives one of the two."""
+    if values is None:
+        return _EMPTY
+    return set(range(g.n)) - values if values else None
+
+
+def _guard(f: Union[Exists, Forall], bound: frozenset[str]) -> tuple[Callable[..., Iterable[int]], Formula]:
+    """The values f.var ranges over, and the rest of f's body: for an
+    existential over a conjunction, the first guard, which then holds
+    and is dropped; else all vertices and the whole body."""
     var = f.var
     if isinstance(f, Exists) and isinstance(f.f, And):
-        for p in f.f.parts:
+        parts = f.f.parts
+        for i, p in enumerate(parts):
+            rest = And(parts[:i] + parts[i + 1 :])
             if isinstance(p, Pred) and p.x == var:
                 name = p.name
-                return lambda g, env: g.predicates.get(name, frozenset())
+                return (lambda g, env: g.predicates.get(name, _EMPTY)), rest
             if isinstance(p, Edge) and p.x != p.y and var in (p.x, p.y):
                 other = p.y if p.x == var else p.x
                 if other in bound:
-                    return lambda g, env: g.adj[env[other]]
-    return lambda g, env: range(g.n)
+                    return (lambda g, env: g.adj[env[other]]), rest
+    return (lambda g, env: range(g.n)), f.f
 
 
 @record
@@ -199,51 +271,42 @@ def apply_interpretation(g: Graph, interp: Interpretation) -> tuple[Graph, dict[
 
     Vertices are those satisfying delta; edges are the distinct pairs
     satisfying psi in either order.  Predicates are restricted to the
-    surviving vertices (empty ones are dropped).
+    surviving vertices (empty ones are dropped).  Each kept u is joined
+    to the kept v != u in psi's values of y at x = u; as every kept u
+    is visited, both orders of psi are covered.
     """
-    delta = _compile(interp.delta, frozenset({"x"}))
-    kept = [v for v in range(g.n) if delta(g, {"x": v})]
-    holds = _either_order(g, interp.psi)
-    return relabel(g, kept, [(u, v) for u, v in combinations(kept, 2) if holds(u, v)])
+    kept = _compile(interp.delta, frozenset(), "x")(g, {})
+    keep = range(g.n) if kept is None else kept
+    partners = _compile(interp.psi, frozenset({"x"}), "y")
+    edges: list[tuple[int, int]] = []
+    for u in keep:
+        ys = partners(g, {"x": u})
+        edges += [(u, v) for v in (keep if ys is None else ys) if v != u and v in keep]
+    return relabel(g, keep, edges)
 
 
 def check_range(g: Graph, psi: Formula, b: int) -> bool:
     """True iff no vertex pair of g at distance > b satisfies psi.
 
     This is an empirical check on one graph: unreachable pairs count as
-    distance infinity.  psi is checked in both argument orders.  Each
-    vertex's radius-b ball is grown on its own, so memory stays linear.
+    distance infinity.  psi is checked in both argument orders: for
+    each u, psi's values of y at x = u must lie in u's radius-b ball.
+    Each ball is grown on its own, so memory stays linear.  Raises
+    ValueError if psi has a free variable other than x and y.
     """
     if b < 0:
         raise ValueError("range bound must be nonnegative")
-    holds = _either_order(g, psi)
-    for u in range(g.n):
-        near = within_distance(g, [u], b)
-        for v in range(u + 1, g.n):
-            if v not in near and holds(u, v):
-                return False
-    return True
-
-
-def _either_order(g: Graph, psi: Formula) -> Callable[[int, int], bool]:
-    """Test of psi(u, v) or psi(v, u) on g, psi compiled once.
-
-    Raises ValueError if psi has a free variable other than x and y.
-    """
     unbound = free_vars(psi) - {"x", "y"}
     if unbound:
         raise ValueError(f"psi may only use free variables x, y; unbound: {sorted(unbound)}")
-    test = _compile(psi, frozenset({"x", "y"}))
-    env: dict[str, int] = {}
-
-    def holds(u: int, v: int) -> bool:
-        env["x"], env["y"] = u, v
-        if test(g, env):
-            return True
-        env["x"], env["y"] = v, u
-        return test(g, env)
-
-    return holds
+    partners = _compile(psi, frozenset({"x"}), "y")
+    for u in range(g.n):
+        ys = partners(g, {"x": u})
+        if ys is None:
+            ys = range(g.n)
+        if ys and not within_distance(g, [u], b).issuperset(ys):
+            return False
+    return True
 
 
 def recovery_interpretation() -> Interpretation:
@@ -255,28 +318,11 @@ def recovery_interpretation() -> Interpretation:
     formula has range 3.
     """
     e_xy = Edge("x", "y")
-    shared = Exists(
-        "w",
-        conj(Pred("R", "w"), Pred("F", "w"), Edge("x", "w"), Edge("y", "w")),
-    )
     # Pred("R", ...) comes first in each conjunction, so each quantifier
     # ranges over the R-marked vertices only.
-    crossed = Exists(
-        "w1",
-        conj(
-            Pred("R", "w1"),
-            Edge("x", "w1"),
-            Exists(
-                "w2",
-                conj(
-                    Pred("R", "w2"),
-                    Not(Eq("w1", "w2")),
-                    Edge("w1", "w2"),
-                    Edge("y", "w2"),
-                ),
-            ),
-        ),
-    )
+    shared = Exists("w", conj(Pred("R", "w"), Pred("F", "w"), Edge("x", "w"), Edge("y", "w")))
+    crossed = Exists("w1", conj(Pred("R", "w1"), Edge("x", "w1"), Exists("w2", conj(
+        Pred("R", "w2"), Not(Eq("w1", "w2")), Edge("w1", "w2"), Edge("y", "w2")))))
     complement = disj(shared, crossed)
     psi = disj(conj(e_xy, Not(complement)), conj(Not(e_xy), complement))
     delta = Not(Pred("R", "x"))

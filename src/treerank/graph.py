@@ -378,42 +378,6 @@ def flip(g: Graph, a: Iterable[int], b: Iterable[int]) -> Graph:
     return Graph(g.n, tuple(flip_parts(g.adj, parts, [(0, len(parts) - 1)])), dict(g.predicates))
 
 
-def s_flip_classes(g: Graph, s: Iterable[int]) -> list[tuple[int, ...]]:
-    """Canonical partition induced by S.
-
-    Each vertex of S forms its own class; the remaining vertices are
-    classed by their neighborhood inside S.  Classes are listed with all
-    S-singletons first (in id order), then neighborhood classes ordered
-    by their S-neighborhood signature.
-    """
-    fs = frozenset(s)
-    check_vertices(g, fs)
-    classes: list[tuple[int, ...]] = [(v,) for v in sorted(fs)]
-    by_sig: dict[tuple[int, ...], list[int]] = {}
-    for v in range(g.n):
-        if v in fs:
-            continue
-        sig = tuple(sorted(g.adj[v] & fs))
-        by_sig.setdefault(sig, []).append(v)
-    for sig in sorted(by_sig):
-        classes.append(tuple(sorted(by_sig[sig])))
-    return classes
-
-
-def s_flip(g: Graph, s: Iterable[int], flips: Iterable[tuple[int, int]]) -> Graph:
-    """Apply an S-flip: complement edges between the named class pairs.
-
-    `flips` holds index pairs into s_flip_classes(g, s); a pair (i, i)
-    complements inside class i.  Applying the same spec twice restores g.
-    """
-    classes = s_flip_classes(g, s)
-    flips = list(flips)
-    for i, j in flips:
-        if not (0 <= i < len(classes) and 0 <= j < len(classes)):
-            raise ValueError(f"flip names nonexistent class pair ({i},{j})")
-    return Graph(g.n, tuple(flip_parts(g.adj, classes, flips)), dict(g.predicates))
-
-
 def relabel(g: Graph, keep: Iterable[int], edges: Iterable[tuple[int, int]]) -> tuple[Graph, dict[int, int]]:
     """Graph on the vertices `keep` of g, ids remapped densely in sorted
     order, with `edges` (pairs of kept vertices, in g's ids) and g's
@@ -423,16 +387,3 @@ def relabel(g: Graph, keep: Iterable[int], edges: Iterable[tuple[int, int]]) -> 
     remap = {v: i for i, v in enumerate(sorted(keep))}
     preds = {name: [remap[v] for v in vs if v in remap] for name, vs in g.predicates.items()}
     return make_graph(len(remap), ((remap[u], remap[v]) for u, v in edges), preds), remap
-
-
-@record
-class Embedding:
-    """A tree pattern embedded as a subdivided subgraph.
-
-    principal maps abstract tree nodes to graph vertices; paths maps each
-    abstract tree edge (parent, child) to the full vertex sequence of the
-    corresponding graph path, endpoints included.
-    """
-
-    principal: Mapping[int, int]
-    paths: Mapping[tuple[int, int], tuple[int, ...]]

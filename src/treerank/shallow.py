@@ -14,11 +14,11 @@ with an inflated branching target, and then prunes colliding branches.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
 from .errors import BOUND_MAX_BITS, ScaleExceeded
 from .generators import tree_children, tree_order
-from .graph import Embedding, Graph, check_vertices, shortest_path, within_distance
+from .graph import Graph, check_vertices, record, shortest_path, within_distance
 
 # Annotations only: `certify` without --extract never loads ranking.
 if TYPE_CHECKING:
@@ -60,6 +60,19 @@ def m_prime(d: int, r: int, m: int) -> int:
             )
         m = _inflated(level, m, r)
     return m - 1
+
+
+@record
+class Embedding:
+    """A tree pattern embedded as a subdivided subgraph.
+
+    principal maps abstract tree nodes to graph vertices; paths maps each
+    abstract tree edge (parent, child) to the full vertex sequence of the
+    corresponding graph path, endpoints included.
+    """
+
+    principal: Mapping[int, int]
+    paths: Mapping[tuple[int, int], tuple[int, ...]]
 
 
 def validate_embedding(g: Graph, emb: Embedding, d: int, m: int, r: int) -> None:

@@ -13,10 +13,10 @@ exact on every input graph, class member or not.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Mapping, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional
 
 from .errors import ScaleExceeded
-from .graph import Graph, flip_parts, record, s_flip, s_flip_classes
+from .graph import Graph, check_vertices, flip_parts, record
 from .neartwin import PartPartition, component_partition
 
 # Only sflip_driver verifies with labd; it imports it when called.
@@ -165,6 +165,42 @@ def colex_subsets(n: int, s: int) -> Iterator[tuple[int, ...]]:
         for top in range(n):
             for rest in colex_subsets(top, s - 1):
                 yield (*rest, top)
+
+
+def s_flip_classes(g: Graph, s: Iterable[int]) -> list[tuple[int, ...]]:
+    """Canonical partition induced by S.
+
+    Each vertex of S forms its own class; the remaining vertices are
+    classed by their neighborhood inside S.  Classes are listed with all
+    S-singletons first (in id order), then neighborhood classes ordered
+    by their S-neighborhood signature.
+    """
+    fs = frozenset(s)
+    check_vertices(g, fs)
+    classes: list[tuple[int, ...]] = [(v,) for v in sorted(fs)]
+    by_sig: dict[tuple[int, ...], list[int]] = {}
+    for v in range(g.n):
+        if v in fs:
+            continue
+        sig = tuple(sorted(g.adj[v] & fs))
+        by_sig.setdefault(sig, []).append(v)
+    for sig in sorted(by_sig):
+        classes.append(tuple(sorted(by_sig[sig])))
+    return classes
+
+
+def s_flip(g: Graph, s: Iterable[int], flips: Iterable[tuple[int, int]]) -> Graph:
+    """Apply an S-flip: complement edges between the named class pairs.
+
+    `flips` holds index pairs into s_flip_classes(g, s); a pair (i, i)
+    complements inside class i.  Applying the same spec twice restores g.
+    """
+    classes = s_flip_classes(g, s)
+    flips = list(flips)
+    for i, j in flips:
+        if not (0 <= i < len(classes) and 0 <= j < len(classes)):
+            raise ValueError(f"flip names nonexistent class pair ({i},{j})")
+    return Graph(g.n, tuple(flip_parts(g.adj, classes, flips)), dict(g.predicates))
 
 
 @record

@@ -771,9 +771,42 @@ from treerank import fo  # noqa: E402
 
 
 def eval_reference(g: Graph, f: fo.Formula, assignment: dict[str, int]) -> bool:
+    return reference_truth(g, f)(assignment)
+
+
+def reference_truth(g: Graph, f: fo.Formula):
+    """assignment -> truth of f in g, read off one table of f's
+    satisfying assignments, so many assignments cost one table."""
     rel, vs = satisfying_assignments(g, f)
-    key = tuple(assignment[v] for v in vs)
-    return key in rel
+    return lambda assignment: tuple(assignment[v] for v in vs) in rel
+
+
+def _either_order(g: Graph, psi: fo.Formula):
+    holds = reference_truth(g, psi)
+    return lambda u, v: holds({"x": u, "y": v}) or holds({"x": v, "y": u})
+
+
+def apply_interpretation_pairwise(g: Graph, interp: fo.Interpretation) -> tuple[Graph, dict[int, int]]:
+    """fo.apply_interpretation by the pair scan: delta tested on every
+    vertex and psi on every pair of kept vertices, in both orders."""
+    delta = reference_truth(g, interp.delta)
+    kept = [v for v in range(g.n) if delta({"x": v})]
+    holds = _either_order(g, interp.psi)
+    return relabel(g, kept, [(u, v) for u, v in combinations(kept, 2) if holds(u, v)])
+
+
+def check_range_pairwise(g: Graph, psi: fo.Formula, b: int) -> bool:
+    """fo.check_range by the pair scan: psi tested, in both orders, on
+    every pair outside the radius-b ball of its smaller vertex."""
+    if b < 0:
+        raise ValueError("range bound must be nonnegative")
+    holds = _either_order(g, psi)
+    for u in range(g.n):
+        near = within_distance(g, [u], b)
+        for v in range(u + 1, g.n):
+            if v not in near and holds(u, v):
+                return False
+    return True
 
 
 def satisfying_assignments(g: Graph, f: fo.Formula) -> tuple[set[tuple[int, ...]], tuple[str, ...]]:
@@ -822,6 +855,8 @@ def satisfying_assignments(g: Graph, f: fo.Formula) -> tuple[set[tuple[int, ...]
             return rel, vs
         i = vs.index(f.var)
         rest = vs[:i] + vs[i + 1 :]
+        if g.n == 0 and isinstance(f, fo.Forall):  # vacuous, and no tuple to group
+            return set(product(dom, repeat=len(rest))), rest
         groups: dict[tuple[int, ...], set[int]] = {}
         for t in rel:
             groups.setdefault(t[:i] + t[i + 1 :], set()).add(t[i])
@@ -859,7 +894,14 @@ def check_range_by_table(g: Graph, psi: fo.Formula, b: int) -> bool:
     return True
 
 
-def random_formula(rng: random.Random, depth: int, variables=("x", "y", "z")) -> fo.Formula:
+def random_formula(rng: random.Random, depth: int, variables=("x", "y", "z"), fresh=()) -> fo.Formula:
+    """A random formula whose atoms use `variables`.
+
+    With `fresh` names given, a quantifier binds one of variables or
+    fresh, its body may use that variable too, and half the existentials
+    are guarded: their body leads with a predicate on the variable (or
+    "M", which no graph has) or an edge between it and another variable.
+    """
     atoms = [
         lambda: fo.Edge(rng.choice(variables), rng.choice(variables)),
         lambda: fo.Eq(rng.choice(variables), rng.choice(variables)),
@@ -871,18 +913,27 @@ def random_formula(rng: random.Random, depth: int, variables=("x", "y", "z")) ->
         return rng.choice(atoms)()
     kind = rng.randrange(5)
     if kind == 0:
-        return fo.Not(random_formula(rng, depth - 1, variables))
+        return fo.Not(random_formula(rng, depth - 1, variables, fresh))
     if kind == 1:
         return fo.And(
-            tuple(random_formula(rng, depth - 1, variables) for _ in range(rng.randint(2, 3)))
+            tuple(random_formula(rng, depth - 1, variables, fresh) for _ in range(rng.randint(2, 3)))
         )
     if kind == 2:
         return fo.Or(
-            tuple(random_formula(rng, depth - 1, variables) for _ in range(rng.randint(2, 3)))
+            tuple(random_formula(rng, depth - 1, variables, fresh) for _ in range(rng.randint(2, 3)))
         )
-    if kind == 3:
-        return fo.Exists(rng.choice(variables), random_formula(rng, depth - 1, variables))
-    return fo.Forall(rng.choice(variables), random_formula(rng, depth - 1, variables))
+    quantifier = fo.Exists if kind == 3 else fo.Forall
+    if not fresh:
+        return quantifier(rng.choice(variables), random_formula(rng, depth - 1, variables))
+    var = rng.choice(variables + fresh)
+    inner = variables if var in variables else variables + (var,)
+    body = random_formula(rng, depth - 1, inner, fresh)
+    if quantifier is fo.Exists and rng.random() < 0.5:
+        other = rng.choice(inner)
+        guard = rng.choice([fo.Pred(rng.choice(("R", "B", "M")), var), fo.Edge(var, other),
+                            fo.Edge(other, var)])
+        body = fo.And((guard, body))
+    return quantifier(var, body)
 
 
 def guarded_formula(rng: random.Random, depth: int, variables=("x", "y", "z")) -> fo.Formula:

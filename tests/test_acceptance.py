@@ -293,12 +293,17 @@ def test_criterion_8_universal_roundtrip():
 
 def _flipped_block_sparsifications():
     """Sparse random bases with one complemented block pair and one
-    complemented block, so the outputs carry crossed and F marks."""
+    complemented block, so the outputs carry crossed and F marks, and
+    flipped_blocks(n, 1) at n = 400 and 800 with criterion 12's k and h."""
     out = []
     for n in (120, 160, 200):
         g = gen_random(n, 2.0 / n, 9300 + n)
         g = flip(flip(g, range(40), range(40, 80)), range(n - 40, n), range(n - 40, n))
         out.extend(build_sparsifier(g, k, h) for k, h in [(4, 1), (6, 2)])
+    for n in (400, 800):
+        g, base = flipped_blocks(n, 1)
+        d = max(base.degree(v) for v in range(n))
+        out.append(build_sparsifier(g, 2 * d + 2, max(1, math.ceil(d / 2))))
     return out
 
 

@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 
 from treerank import cli, generators, halfgraph, labd, shallow, sparsify
 from treerank.generators import gen_random, gen_tree
-from treerank.graph import Embedding, make_graph, parse_graph, write_graph
+from treerank.graph import make_graph, parse_graph, write_graph
 from treerank.halfgraph import g_bound
 from treerank.neartwin import neartwin_graph
 from treerank.ranking import compute_ranking
+from treerank.shallow import Embedding
 from treerank.sparsify import build_sparsifier
 
 from helpers import complete_bipartite, complete_graph, path_graph

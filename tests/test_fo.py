@@ -12,12 +12,15 @@ from treerank.graph import make_graph
 from treerank.sparsify import build_sparsifier, recover
 
 from helpers import (
+    apply_interpretation_pairwise,
     check_range_by_table,
+    check_range_pairwise,
     complete_bipartite,
     eval_reference,
     guarded_formula,
     path_graph,
     random_formula,
+    reference_truth,
     satisfying_assignments,
     seeded_random_graphs,
 )
@@ -178,6 +181,90 @@ def test_guard_cases():
     )
     assert fo.evaluate(g, rebind, {"x": 0})
     assert not fo.evaluate(g, rebind, {"x": 3})
+
+
+def test_set_at_a_time_matches_the_pair_scan():
+    # Random psi(x, y) and delta(x) with guarded and unguarded
+    # quantifiers over x, y and fresh variables, against the pair scan
+    # on the reference evaluator: the interpretation, the range check at
+    # b = 0..3, psi's truth at sampled pairs, and a closed formula.
+    rng = random.Random(2468)
+    seen = {"rebinds y": 0, "closed true": 0, "closed false": 0, "empty graph": 0}
+    for i in range(2000):
+        n = rng.randint(0, 7)
+        marks = {name: [v for v in range(n) if rng.random() < 0.4] for name in ("R", "B")}
+        g = make_graph(n, gen_random(n, rng.random(), 3000 + i).edges(), marks)
+        psi = random_formula(rng, rng.randint(0, 3), ("x", "y"), ("z", "w"))
+        delta = random_formula(rng, rng.randint(0, 2), ("x",), ("y", "z"))
+        interp = fo.Interpretation(psi, delta)
+        assert fo.apply_interpretation(g, interp) == apply_interpretation_pairwise(g, interp), (
+            i, repr(interp))
+        for b in range(4):
+            assert fo.check_range(g, psi, b) == check_range_pairwise(g, psi, b), (i, b, repr(psi))
+        holds = reference_truth(g, psi)
+        for _ in range(3 if n else 0):
+            assignment = {"x": rng.randrange(n), "y": rng.randrange(n)}
+            assert fo.evaluate(g, psi, assignment) == holds(assignment), (i, assignment, repr(psi))
+        closed = rng.choice((fo.Exists, fo.Forall))("y", psi)
+        closed = rng.choice((fo.Exists, fo.Forall))("x", closed)
+        verdict = fo.evaluate(g, closed, {})
+        assert verdict == eval_reference(g, closed, {}), (i, repr(closed))
+        seen["closed true" if verdict else "closed false"] += 1
+        seen["rebinds y"] += "var='y'" in repr(psi)
+        seen["empty graph"] += n == 0
+    assert min(seen.values()) > 100, seen
+
+
+def test_all_is_not_empty():
+    # None stands for every vertex; a conjunction or a quantifier that
+    # took it for the empty set would drop these edges.
+    g = path_graph(4)
+    for psi in (fo.conj(fo.Eq("y", "y"), fo.Edge("x", "y")),
+                fo.conj(fo.Const(True), fo.Not(fo.Pred("M", "y")), fo.Edge("x", "y")),
+                fo.conj(fo.Forall("z", fo.Eq("z", "z")), fo.Edge("x", "y")),
+                fo.disj(fo.Const(False), fo.conj(fo.Edge("x", "y"), fo.Not(fo.Const(False)))),
+                fo.conj(fo.disj(fo.Const(True), fo.Pred("M", "y")), fo.Edge("x", "y")),
+                fo.Forall("z", fo.disj(fo.Eq("z", "x"), fo.Edge("x", "y")))):
+        assert fo.apply_interpretation(g, fo.Interpretation(psi, fo.Const(True)))[0] == g, repr(psi)
+        assert fo.evaluate(g, psi, {"x": 1, "y": 2}) and not fo.evaluate(g, psi, {"x": 0, "y": 2})
+    everything = fo.disj(fo.Edge("x", "y"), fo.Not(fo.Edge("x", "y")))
+    out, _ = fo.apply_interpretation(g, fo.Interpretation(everything, fo.Const(True)))
+    assert out.edge_count() == 6
+    nothing = fo.conj(fo.Edge("x", "y"), fo.Not(fo.Eq("y", "y")))
+    out, _ = fo.apply_interpretation(g, fo.Interpretation(nothing, fo.Const(True)))
+    assert out.edge_count() == 0
+
+
+def test_closed_subformulas_stay_true_or_false():
+    # A formula without the solved-for variable gives "every vertex" or
+    # nothing: the complement of nothing must read as true, also on the
+    # graph without vertices.
+    for g in (make_graph(0), path_graph(3)):
+        assert fo.evaluate(g, fo.Not(fo.Exists("z", fo.Pred("M", "z"))), {})
+        assert fo.evaluate(g, fo.Not(fo.Const(False)), {})
+        assert fo.evaluate(g, fo.Forall("z", fo.Exists("w", fo.Eq("z", "w"))), {})
+        assert fo.evaluate(g, fo.Exists("z", fo.Const(True)), {}) == (g.n > 0)
+        assert fo.evaluate(g, fo.Forall("z", fo.Const(False)), {}) == (g.n == 0)
+    g = path_graph(3)
+    psi = fo.conj(fo.Edge("x", "y"), fo.Not(fo.Exists("z", fo.Pred("M", "z"))))
+    assert fo.apply_interpretation(g, fo.Interpretation(psi, fo.Const(True)))[0] == g
+    assert fo.evaluate(g, fo.Exists("x", fo.Not(fo.Pred("M", "x"))), {"x": 0})
+
+
+def test_quantifier_rebinding_y():
+    # The inner y is a new variable: x is joined to each neighbor y if x
+    # has some R-marked neighbor, which on the path 0-1-2-3 with R = {0}
+    # only 1 has.
+    g = make_graph(4, [(0, 1), (1, 2), (2, 3)], {"R": [0]})
+    has_r = fo.Exists("y", fo.conj(fo.Pred("R", "y"), fo.Edge("x", "y")))
+    psi = fo.conj(fo.Edge("x", "y"), has_r)
+    out, _ = fo.apply_interpretation(g, fo.Interpretation(psi, fo.Const(True)))
+    assert out.edges() == [(0, 1), (1, 2)]
+    assert fo.evaluate(g, psi, {"x": 1, "y": 2}) and not fo.evaluate(g, psi, {"x": 2, "y": 1})
+    assert not fo.check_range(g, fo.conj(fo.Not(fo.Eq("x", "y")), has_r), 1)
+    assert fo.check_range(g, fo.conj(fo.Not(fo.Eq("x", "y")), has_r), 2)
+    every = fo.Forall("y", fo.disj(fo.Eq("x", "y"), fo.Not(fo.Edge("x", "y"))))
+    assert fo.evaluate(g, fo.conj(fo.Edge("x", "y"), fo.Not(every)), {"x": 0, "y": 1})
 
 
 def test_check_range_edge_formula():

@@ -7,19 +7,18 @@ from hypothesis import strategies as st
 
 from treerank.generators import gen_halfgraph, gen_random, gen_tree, subdivide, tree_order
 from treerank.graph import (
-    Embedding,
     Graph,
     ParseError,
     flip,
     flip_parts,
     make_graph,
     parse_graph,
-    s_flip,
-    s_flip_classes,
     write_graph,
 )
 from treerank.halfgraph import HalfgraphWitness
 from treerank.ranking import RankAssignment, SearchStats
+from treerank.shallow import Embedding
+from treerank.sparsify import s_flip, s_flip_classes
 
 from helpers import (
     bfs_distances,

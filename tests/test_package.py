@@ -19,13 +19,13 @@ import pytest
 
 import treerank
 from treerank.generators import gen_halfgraph, gen_tree
-from treerank.graph import make_graph, s_flip, within_distance, write_graph
+from treerank.graph import make_graph, within_distance, write_graph
 from treerank.halfgraph import find_halfgraph, validate_halfgraph
 from treerank.labd import ClassSpec, ParamFunction, labd_check, near_covered_check
 from treerank.neartwin import neartwin_graph, symdiff
 from treerank.ranking import separator_search
 from treerank.shallow import contains_shallow_tree, validate_embedding
-from treerank.sparsify import recover, sflip_driver
+from treerank.sparsify import recover, s_flip, sflip_driver
 
 from helpers import complete_graph, cycle, padded_halfgraph, path_graph, star
 
@@ -38,18 +38,18 @@ PUBLIC = {
     "fo": ["Interpretation", "apply_interpretation", "check_range", "evaluate",
            "recovery_interpretation"],
     "generators": ["gen_halfgraph", "gen_random", "gen_tree", "subdivide"],
-    "graph": ["Embedding", "Graph", "ParseError", "flip", "make_graph", "parse_graph",
-              "s_flip", "s_flip_classes", "write_graph"],
+    "graph": ["Graph", "ParseError", "flip", "make_graph", "parse_graph", "write_graph"],
     "halfgraph": ["HalfgraphWitness", "extract_halfgraph", "find_halfgraph", "g_bound",
                   "h_bound", "validate_halfgraph"],
     "labd": ["ClassSpec", "ParamFunction", "labd_check", "near_covered_check",
              "no_ladder_bound", "parse_param_function"],
     "neartwin": ["neartwin_graph", "neartwin_view", "symdiff"],
     "ranking": ["RankAssignment", "compute_ranking", "rank_order", "separator_search"],
-    "shallow": ["contains_shallow_tree", "extract_shallow_tree", "m_prime",
+    "shallow": ["Embedding", "contains_shallow_tree", "extract_shallow_tree", "m_prime",
                 "validate_embedding", "w_count"],
     "sparsify": ["SparsifiedGraph", "build_sparsifier", "classify_heavy",
-                 "component_partition", "recover", "recover_graph", "sflip_driver"],
+                 "component_partition", "recover", "recover_graph", "s_flip", "s_flip_classes",
+                 "sflip_driver"],
 }
 NAMES = sorted(name for names in PUBLIC.values() for name in names)
 

@@ -5,9 +5,10 @@ import pytest
 
 from treerank.errors import ScaleExceeded
 from treerank.generators import gen_random, gen_tree, subdivide, tree_children
-from treerank.graph import Embedding, make_graph
+from treerank.graph import make_graph
 from treerank.ranking import compute_ranking
 from treerank.shallow import (
+    Embedding,
     _inflated,
     contains_shallow_tree,
     extract_shallow_tree,

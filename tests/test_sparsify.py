@@ -543,7 +543,7 @@ class TestSflipDriver:
 
         assert labd_check(res.sparsified.graph, verifier) is None
         # the hub-isolating candidate is also a valid (later) success
-        from treerank.graph import s_flip, s_flip_classes
+        from treerank.sparsify import s_flip, s_flip_classes
 
         classes = s_flip_classes(g, {14})
         assert classes == [(14,), tuple(range(14))]
