@@ -267,22 +267,23 @@ class Interpretation:
 
 
 def apply_interpretation(g: Graph, interp: Interpretation) -> tuple[Graph, dict[int, int]]:
-    """Graph defined by interp on g, with dense ids and the old->new map.
+    """Graph defined by interp on g, relabeled onto the vertices that
+    satisfy delta, and the old->new map.
 
-    Vertices are those satisfying delta; edges are the distinct pairs
-    satisfying psi in either order.  Predicates are restricted to the
-    surviving vertices (empty ones are dropped).  Each kept u is joined
-    to the kept v != u in psi's values of y at x = u; as every kept u
-    is visited, both orders of psi are covered.
+    Each kept u's row gets the kept v != u in psi's values of y at
+    x = u, and each such v's row gets u, so both orders of psi count.
     """
     kept = _compile(interp.delta, frozenset(), "x")(g, {})
-    keep = range(g.n) if kept is None else kept
+    keep = frozenset(range(g.n)) if kept is None else kept
     partners = _compile(interp.psi, frozenset({"x"}), "y")
-    edges: list[tuple[int, int]] = []
+    rows: list[set[int]] = [set() for _ in range(g.n)]
     for u in keep:
         ys = partners(g, {"x": u})
-        edges += [(u, v) for v in (keep if ys is None else ys) if v != u and v in keep]
-    return relabel(g, keep, edges)
+        ys = (keep if ys is None else ys & keep) - {u}
+        rows[u] |= ys
+        for v in ys:
+            rows[v].add(u)
+    return relabel(g, keep, rows)
 
 
 def check_range(g: Graph, psi: Formula, b: int) -> bool:

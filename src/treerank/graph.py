@@ -378,12 +378,20 @@ def flip(g: Graph, a: Iterable[int], b: Iterable[int]) -> Graph:
     return Graph(g.n, tuple(flip_parts(g.adj, parts, [(0, len(parts) - 1)])), dict(g.predicates))
 
 
-def relabel(g: Graph, keep: Iterable[int], edges: Iterable[tuple[int, int]]) -> tuple[Graph, dict[int, int]]:
+def relabel(g: Graph, keep: Iterable[int], rows: Sequence[AbstractSet[int]]) -> tuple[Graph, dict[int, int]]:
     """Graph on the vertices `keep` of g, ids remapped densely in sorted
-    order, with `edges` (pairs of kept vertices, in g's ids) and g's
-    predicates restricted to `keep`.  Returns (graph, mapping) where
-    mapping sends old ids to new.
+    order, with rows[v] (in g's ids, naming only kept vertices) as kept
+    vertex v's row and g's predicates restricted to `keep`.  Returns
+    (graph, mapping) where mapping sends old ids to new.  When `keep` is
+    a prefix of the ids, no id moves and frozenset rows are shared.
     """
-    remap = {v: i for i, v in enumerate(sorted(keep))}
-    preds = {name: [remap[v] for v in vs if v in remap] for name, vs in g.predicates.items()}
-    return make_graph(len(remap), ((remap[u], remap[v]) for u, v in edges), preds), remap
+    keep = sorted(keep)
+    remap = {v: i for i, v in enumerate(keep)}
+    if keep and keep[-1] != len(keep) - 1:  # ids move
+        rows = [frozenset([remap[y] for y in rows[x]]) for x in keep]
+    preds = {}
+    for name, vs in g.predicates.items():
+        kept = frozenset([remap[v] for v in vs if v in remap])
+        if kept:
+            preds[name] = kept
+    return Graph(len(keep), tuple(map(frozenset, rows[: len(keep)])), preds), remap

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional
 
 from .errors import ScaleExceeded
-from .graph import Graph, check_vertices, flip_parts, record
+from .graph import Graph, check_vertices, flip_parts, record, relabel
 from .neartwin import PartPartition, component_partition
 
 # Only sflip_driver verifies with labd; it imports it when called.
@@ -105,17 +105,17 @@ class RecoverError(ValueError):
 def recover_graph(g: Graph) -> tuple[Graph, dict[int, int]]:
     """Undo marked flips on any graph carrying R/F predicates.
 
-    Keeps the non-R vertices (ids remapped densely), complements the
-    adjacency of pairs sharing an R-and-F-marked neighbor or having
-    distinct adjacent R-marked neighbors, drops the R/F marks, and
-    restricts the remaining predicates.  Raises RecoverError if some kept
-    vertex has several R-marked neighbors or F escapes R.
+    Complements the adjacency of pairs sharing an R-and-F-marked
+    neighbor or having distinct adjacent R-marked neighbors, then
+    relabels onto the non-R vertices, which drops the R marks and, as F
+    lies in R, the F marks.  Raises RecoverError if some kept vertex has
+    several R-marked neighbors or F escapes R.
 
     Only the rows of marked vertices change: each drops its mark, and one
     flip_parts call over the apexes' parts flips each F-marked apex's
     part inside and the parts of each pair of adjacent apexes.  When the
-    R vertices come last, as build_sparsifier's apexes do, ids do not
-    move and unmarked rows are the input's own.  Cost: O(n + m_in + m_out).
+    R vertices come last, as build_sparsifier's apexes do, relabel moves
+    no id and unmarked rows are the input's own.  Cost: O(n + m_in + m_out).
     """
     r_set = g.predicates.get("R", frozenset())
     f_set = g.predicates.get("F", frozenset())
@@ -135,17 +135,7 @@ def recover_graph(g: Graph) -> tuple[Graph, dict[int, int]]:
     # vertices it marks, and these parts are disjoint.
     members = {a: g.adj[a] - r_set for a in r_set}
     pairs = [(a, a) for a in f_set] + [(a, b) for a in r_set for b in g.adj[a] & r_set if a < b]
-    rows = flip_parts(rows, members, pairs)
-    remap = {v: i for i, v in enumerate(keep)}
-    if keep and keep[-1] != len(keep) - 1:  # ids move; else the R rows are last
-        rows = [frozenset([remap[y] for y in rows[x]]) for x in keep]
-    # Every R vertex is dropped and F lies in R, so both marks go.
-    preds = {}
-    for name, vs in g.predicates.items():
-        kept = frozenset([remap[v] for v in vs if v in remap])
-        if kept:
-            preds[name] = kept
-    return Graph(len(keep), tuple(rows[: len(keep)]), preds), remap
+    return relabel(g, keep, flip_parts(rows, members, pairs))
 
 
 def recover(sg: SparsifiedGraph) -> Graph:
@@ -207,7 +197,6 @@ def s_flip(g: Graph, s: Iterable[int], flips: Iterable[tuple[int, int]]) -> Grap
 class SflipResult:
     s: tuple[int, ...]
     flip_spec: tuple[tuple[int, int], ...]
-    classes: tuple[tuple[int, ...], ...]
     flipped_graph: Graph
     sparsified: SparsifiedGraph
 
@@ -249,5 +238,5 @@ def sflip_driver(
             if labd_check(sg.graph, verifier) is None:
                 if recover(sg) != flipped:
                     raise RuntimeError(f"recovery is not exact for S={subset}, flips {spec}")
-                return SflipResult(subset, spec, tuple(classes), flipped, sg)
+                return SflipResult(subset, spec, flipped, sg)
     return None

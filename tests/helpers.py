@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Iterable, Optional, Sequence
 
@@ -156,6 +157,16 @@ def flipped_blocks(n: int, seed: int) -> tuple[Graph, Graph]:
     return make_graph(n, edges), base
 
 
+@lru_cache(maxsize=None)
+def sparsified_flipped_blocks(n: int) -> SparsifiedGraph:
+    """build_sparsifier on flipped_blocks(n, 1) with criterion 12's
+    k = 2D + 2 and h = ceil(D / 2), D the base's max degree.  Cached,
+    as criterion 9 and the FO memory test read the same graphs."""
+    g, base = flipped_blocks(n, 1)
+    d = max(base.degree(v) for v in range(n))
+    return build_sparsifier(g, 2 * d + 2, max(1, math.ceil(d / 2)))
+
+
 def noisy_clusters(n: int, s: int, seed: int) -> Graph:
     """The sparsified H of a noisy cluster graph.
 
@@ -240,7 +251,7 @@ def induced(g: Graph, x: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     for v in sorted(keep):
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} out of range")
-    return relabel(g, keep, [(u, v) for u, v in g.edges() if u in keep and v in keep])
+    return relabel(g, keep, [row & keep for row in g.adj])
 
 
 # ---------------------------------------------------------------------------
@@ -792,7 +803,12 @@ def apply_interpretation_pairwise(g: Graph, interp: fo.Interpretation) -> tuple[
     delta = reference_truth(g, interp.delta)
     kept = [v for v in range(g.n) if delta({"x": v})]
     holds = _either_order(g, interp.psi)
-    return relabel(g, kept, [(u, v) for u, v in combinations(kept, 2) if holds(u, v)])
+    # Built here with make_graph, not with the library's relabel, so the
+    # oracle shares no code with the routine it checks.
+    remap = {v: i for i, v in enumerate(kept)}
+    edges = [(remap[u], remap[v]) for u, v in combinations(kept, 2) if holds(u, v)]
+    preds = {name: [remap[v] for v in vs if v in remap] for name, vs in g.predicates.items()}
+    return make_graph(len(kept), edges, preds), remap
 
 
 def check_range_pairwise(g: Graph, psi: fo.Formula, b: int) -> bool:

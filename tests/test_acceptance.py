@@ -48,6 +48,7 @@ from helpers import (
     scol_bruteforce,
     seeded_random_graphs,
     separator_search_bruteforce,
+    sparsified_flipped_blocks,
     star,
 )
 
@@ -300,10 +301,7 @@ def _flipped_block_sparsifications():
         g = gen_random(n, 2.0 / n, 9300 + n)
         g = flip(flip(g, range(40), range(40, 80)), range(n - 40, n), range(n - 40, n))
         out.extend(build_sparsifier(g, k, h) for k, h in [(4, 1), (6, 2)])
-    for n in (400, 800):
-        g, base = flipped_blocks(n, 1)
-        d = max(base.degree(v) for v in range(n))
-        out.append(build_sparsifier(g, 2 * d + 2, max(1, math.ceil(d / 2))))
+    out.extend(sparsified_flipped_blocks(n) for n in (400, 800))
     return out
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from treerank import fo
 from treerank.generators import gen_halfgraph, gen_random
 from treerank.graph import make_graph
-from treerank.sparsify import build_sparsifier, recover
+from treerank.sparsify import build_sparsifier, recover_graph
 
 from helpers import (
     apply_interpretation_pairwise,
@@ -23,6 +23,7 @@ from helpers import (
     reference_truth,
     satisfying_assignments,
     seeded_random_graphs,
+    sparsified_flipped_blocks,
 )
 
 
@@ -321,6 +322,23 @@ def test_check_range_memory_is_linear():
     assert peak < 5_000_000
 
 
+def test_apply_interpretation_memory_is_near_recover_graph():
+    # apply_interpretation writes the output's rows and hands them to
+    # relabel, as recover_graph does, with no list of vertex pairs in
+    # between, so its peak stays within 2.5x of recover_graph's.
+    h = sparsified_flipped_blocks(800).graph
+    interp = fo.recovery_interpretation()
+    peaks = []
+    for build in (lambda: fo.apply_interpretation(h, interp), lambda: recover_graph(h)):
+        tracemalloc.start()
+        try:
+            build()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 2.5 * peaks[1], peaks
+
+
 def test_recovery_on_unmarked_graph():
     g = gen_random(9, 0.4, 12)
     interp = fo.recovery_interpretation()
@@ -335,12 +353,18 @@ def test_recovery_equals_direct_recover():
         make_graph(11, [(i, j) for i in range(11) for j in range(i + 1, 11)]),
         gen_halfgraph(5),
     ] + seeded_random_graphs(10, 20, 77)
-    for g in cases:
-        for k, h in [(0, 1), (1, 1), (2, 2)]:
-            sg = build_sparsifier(g, k, h)
-            via_fo, _ = fo.apply_interpretation(sg.graph, interp)
-            assert via_fo == recover(sg)
-            assert fo.check_range(sg.graph, interp.psi, 3)
+    marked = [build_sparsifier(g, k, h).graph for g in cases for k, h in [(0, 1), (1, 1), (2, 2)]]
+    # Hand-marked, with the R vertices 2 and 5 among the kept ids and an
+    # extra predicate Q: apex 2 is F-marked over {0, 1, 3}, apex 5 marks
+    # {4, 6}, and the two are adjacent, so both callers of relabel move ids.
+    edges = [(2, 0), (2, 1), (2, 3), (2, 5), (5, 4), (5, 6), (0, 1), (3, 4)]
+    moved = make_graph(7, edges, {"R": [2, 5], "F": [2], "Q": [1, 2, 4]})
+    flipped = [(0, 2), (1, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 4)]  # in the new ids
+    assert recover_graph(moved) == (make_graph(5, flipped, {"Q": [1, 3]}),
+                                    {0: 0, 1: 1, 3: 2, 4: 3, 6: 4})
+    for h in marked + [moved]:
+        assert fo.apply_interpretation(h, interp) == recover_graph(h)
+        assert fo.check_range(h, interp.psi, 3)
 
 
 @settings(max_examples=25, deadline=None)
