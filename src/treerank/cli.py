@@ -213,12 +213,12 @@ def _cmd_rank(args, g: Graph) -> tuple[str, int]:
     from . import ranking
 
     ra = ranking.compute_ranking(g, args.r, args.m)
-    lines = [f"{v} {'inf' if x == ranking.INF else int(x)}" for v, x in enumerate(ra.ranks)]
+    ids = list(map(str, range(g.n)))  # each vertex id formatted once
+    # Finite ranks are ints, and INF formats as "inf".
+    lines = [f"{i} {x}" for i, x in zip(ids, ra.ranks)]
     if args.witness:
-        for v in range(g.n):
-            if v in ra.witnesses:
-                members = " ".join(str(u) for u in sorted(ra.witnesses[v]))
-                lines.append(f"w {v} {members}".rstrip())
+        w = ra.witnesses
+        lines += [" ".join(["w", ids[v], *map(ids.__getitem__, sorted(w[v]))]) for v in sorted(w)]
     return "\n".join(lines) + "\n", EXIT_OK
 
 

@@ -1,4 +1,5 @@
-"""Shared error types for search operations with configured scale caps."""
+"""What every treerank module shares: the scale caps, ScaleExceeded, and
+the `record` decorator of the value types."""
 
 # Cap, in bits, on the exact bounds m_prime and g_bound: m_prime(12, 2, 2)
 # would need about 5 million bits, and g_bound passes the cap by t = 73,728.
@@ -28,3 +29,71 @@ class ScaleExceeded(RuntimeError):
         super().__init__(f"{op}: scale cap exceeded ({detail})")
         self.op = op
         self.detail = detail
+
+
+class field:
+    """A record field's default_factory, called once per instance."""
+
+    def __init__(self, *, default_factory):
+        self.default_factory = default_factory
+
+
+def record(cls=None, *, frozen=True):
+    """Class decorator making a record of the annotated fields, in place
+    of dataclasses.dataclass(frozen=...), which costs every process the
+    import of inspect and an exec per class.
+
+    __init__ takes the fields in order, by position or keyword, with
+    defaults and field(default_factory=...), then runs __post_init__ if
+    the class has one.  repr is Name(field=value, ...), and == holds
+    between records of one class with equal field tuples.  A frozen
+    record refuses assignment and deletion and, unless the class defines
+    __hash__, hashes its field tuple; a mutable one is unhashable.
+    """
+    if cls is None:
+        return lambda c: record(c, frozen=frozen)
+    names = tuple(cls.__annotations__)
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    for name, default in defaults.items():
+        if isinstance(default, field):
+            delattr(cls, name)
+    post_init = getattr(cls, "__post_init__", None)
+
+    def values(self) -> tuple:
+        return tuple([getattr(self, name) for name in names])
+
+    def __init__(self, *args, **kwargs):
+        given = dict(zip(names, args))
+        if len(args) > len(names) or given.keys() & kwargs or kwargs.keys() - names:
+            raise TypeError(f"{cls.__name__}() takes the fields {names}, got {len(args)} "
+                            f"positional arguments and the keywords {sorted(kwargs)}")
+        given.update(kwargs)
+        for name in names:
+            if name not in given:
+                if name not in defaults:
+                    raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+                default = defaults[name]
+                given[name] = default.default_factory() if isinstance(default, field) else default
+        self.__dict__.update(given)
+        if post_init is not None:
+            post_init(self)
+
+    def __repr__(self) -> str:
+        return f"{cls.__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return values(self) == values(other)
+
+    def refuse(self, name, *_):
+        raise AttributeError(f"cannot assign to or delete field {name!r} of a frozen {cls.__name__}")
+
+    cls.__init__, cls.__repr__, cls.__eq__ = __init__, __repr__, __eq__
+    if not frozen:
+        cls.__hash__ = None
+    else:
+        cls.__setattr__ = cls.__delattr__ = refuse
+        if "__hash__" not in cls.__dict__:
+            cls.__hash__ = lambda self: hash(values(self))
+    return cls

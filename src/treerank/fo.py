@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from typing import AbstractSet, Callable, Iterable, Mapping, Optional, Union
 
-from .graph import Graph, record, relabel, within_distance
+from .errors import record
+from .graph import Graph, relabel, within_distance
 
 
 @record

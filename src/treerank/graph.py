@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
 
-from .errors import GRAPH_MAX_VERTICES, ScaleExceeded
+from .errors import GRAPH_MAX_VERTICES, ScaleExceeded, field, record
 
 
 class ParseError(ValueError):
@@ -28,74 +28,6 @@ class ParseError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
-
-
-class field:
-    """A record field's default_factory, called once per instance."""
-
-    def __init__(self, *, default_factory):
-        self.default_factory = default_factory
-
-
-def record(cls=None, *, frozen=True):
-    """Class decorator making a record of the annotated fields, in place
-    of dataclasses.dataclass(frozen=...), which costs every process the
-    import of inspect and an exec per class.
-
-    __init__ takes the fields in order, by position or keyword, with
-    defaults and field(default_factory=...), then runs __post_init__ if
-    the class has one.  repr is Name(field=value, ...), and == holds
-    between records of one class with equal field tuples.  A frozen
-    record refuses assignment and deletion and, unless the class defines
-    __hash__, hashes its field tuple; a mutable one is unhashable.
-    """
-    if cls is None:
-        return lambda c: record(c, frozen=frozen)
-    names = tuple(cls.__annotations__)
-    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
-    for name, default in defaults.items():
-        if isinstance(default, field):
-            delattr(cls, name)
-    post_init = getattr(cls, "__post_init__", None)
-
-    def values(self) -> tuple:
-        return tuple([getattr(self, name) for name in names])
-
-    def __init__(self, *args, **kwargs):
-        given = dict(zip(names, args))
-        if len(args) > len(names) or given.keys() & kwargs or kwargs.keys() - names:
-            raise TypeError(f"{cls.__name__}() takes the fields {names}, got {len(args)} "
-                            f"positional arguments and the keywords {sorted(kwargs)}")
-        given.update(kwargs)
-        for name in names:
-            if name not in given:
-                if name not in defaults:
-                    raise TypeError(f"{cls.__name__}() missing argument {name!r}")
-                default = defaults[name]
-                given[name] = default.default_factory() if isinstance(default, field) else default
-        self.__dict__.update(given)
-        if post_init is not None:
-            post_init(self)
-
-    def __repr__(self) -> str:
-        return f"{cls.__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return values(self) == values(other)
-
-    def refuse(self, name, *_):
-        raise AttributeError(f"cannot assign to or delete field {name!r} of a frozen {cls.__name__}")
-
-    cls.__init__, cls.__repr__, cls.__eq__ = __init__, __repr__, __eq__
-    if not frozen:
-        cls.__hash__ = None
-    else:
-        cls.__setattr__ = cls.__delattr__ = refuse
-        if "__hash__" not in cls.__dict__:
-            cls.__hash__ = lambda self: hash(values(self))
-    return cls
 
 
 @record
@@ -155,9 +87,10 @@ def make_graph(
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
-    # A row is made on its vertex's first edge; untouched vertices share
-    # one empty frozenset.
-    adj: list[Optional[set[int]]] = [None] * n
+    # A row is made on its vertex's first edge, as a list (append is
+    # cheaper than set.add; frozenset drops duplicates at the end), and
+    # untouched vertices share one empty frozenset.
+    adj: list[Optional[list[int]]] = [None] * n
     for u, v in edges:
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
@@ -165,14 +98,14 @@ def make_graph(
             raise ValueError(f"edge ({u},{v}) out of range for n={n}")
         row = adj[u]
         if row is None:
-            adj[u] = {v}
+            adj[u] = [v]
         else:
-            row.add(v)
+            row.append(v)
         row = adj[v]
         if row is None:
-            adj[v] = {u}
+            adj[v] = [u]
         else:
-            row.add(u)
+            row.append(u)
     preds: dict[str, frozenset[int]] = {}
     for name, vs in (predicates or {}).items():
         fs = frozenset(vs)
@@ -192,8 +125,54 @@ def parse_graph(text: str) -> Graph:
     out of range, duplicate edges, self-loops, missing or repeated
     headers, and an edge count disagreeing with the header.  Raises
     ScaleExceeded, before any row is allocated, when the header declares
-    more than GRAPH_MAX_VERTICES vertices.
+    more than GRAPH_MAX_VERTICES vertices.  Text in write_graph's own
+    layout is read in bulk; everything else goes through the line parser,
+    the only code that raises these errors.
     """
+    g = _parse_canonical(text)
+    return _parse_lines(text) if g is None else g
+
+
+def _parse_canonical(text: str) -> Optional[Graph]:
+    """The graph of a valid text in write_graph's layout, or None, for
+    the line parser to read or refuse: `p n m`, then m lines `e u v` with
+    u < v, then `l name v...` lines, every field followed by one space or
+    newline and the text by a newline.  Such a text, with no comment,
+    splits into the same lines and fields for both parsers.
+    """
+    fields = text.split()
+    # One separator per field, each a space or a newline.
+    if text[:2] != "p " or text[-1:] != "\n" or "#" in text or not \
+            len(fields) == text.count(" ") + text.count("\n") == len(text) - sum(map(len, fields)):
+        return None
+    head = text.index("\n")
+    cut = text.find("\nl ") + 1 or len(text)  # where the `l` lines start
+    try:
+        n, m = map(int, text[2:head].split(" "))
+        # m lines of three fields, each starting `e `, after the header.
+        if not (0 <= n <= GRAPH_MAX_VERTICES and text.count(" ", head, cut) == 2 * m
+                and text.count("\ne ", head, cut) == text.count("\n", head + 1, cut) == m):
+            return None
+        us = list(map(int, fields[4 : 3 * m + 3 : 3]))
+        vs = list(map(int, fields[5 : 3 * m + 3 : 3]))
+        if us and (not all(map(int.__lt__, us, vs)) or min(us) < 0 or max(vs) >= n):
+            return None
+        preds: dict[str, list[int]] = {}
+        for line in text[cut:].splitlines():
+            tag, name, *members = line.split(" ")
+            members = list(map(int, members))
+            if tag != "l" or min(members) < 0 or max(members) >= n:
+                return None
+            preds.setdefault(name, []).extend(members)
+    except ValueError:  # a field no integer, a header not of three fields, an `l` line of two
+        return None
+    g = make_graph(n, zip(us, vs), preds)
+    # With u < v, a duplicate edge is the only way to lose degree.
+    return g if sum(map(len, g.adj)) == 2 * m else None
+
+
+def _parse_lines(text: str) -> Graph:
+    """parse_graph line by line, for any text."""
     n = None
     declared_m = 0
     header_line = 0
@@ -261,7 +240,13 @@ def parse_graph(text: str) -> Graph:
 
 
 def write_graph(g: Graph) -> str:
-    """Serialize a Graph; parse_graph(write_graph(g)) == g."""
+    """Serialize a Graph; parse_graph(write_graph(g)) == g.  Raises
+    ValueError for a predicate name that is empty or holds whitespace or
+    '#', since no text gives it back."""
+    for name in g.predicates:
+        if "#" in name or name.split() != [name]:
+            raise ValueError(f"predicate name {name!r} cannot be written: "
+                             "it is empty or holds whitespace or '#'")
     lines = [f"p {g.n} {g.edge_count()}"]
     # One "e u " prefix per row, then each larger neighbor in order.
     lines += [
@@ -322,22 +307,26 @@ def shortest_path(
     target.  Deterministic: layers expand in sorted order and each
     vertex keeps its first (smallest-id) discoverer as parent.
     """
-    parent = {v: -1}
+    rows = g._sorted_rows
+    # Deleted vertices count as discovered, so one lookup skips both.
+    parent = dict.fromkeys(deleted)
+    parent[v] = -1
     frontier = [v]
-    for _ in range(r):
+    for depth in range(1, r + 1):
         nxt = []
         for u in frontier:
-            for w in g.sorted_neighbors(u):
-                if w in parent or w in deleted:
+            for w in rows[u] or g.sorted_neighbors(u):
+                if w in parent:
                     continue
-                parent[w] = u
                 if w in targets:
-                    path = [w]
+                    path = [w, u]
                     while path[-1] != v:
                         path.append(parent[path[-1]])
                     path.reverse()
                     return path
-                nxt.append(w)
+                if depth < r:  # the last layer is not expanded
+                    parent[w] = u
+                    nxt.append(w)
         if not nxt:
             return None
         frontier = nxt

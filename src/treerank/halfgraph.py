@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .errors import BOUND_MAX_BITS, ScaleExceeded
-from .graph import Graph, check_vertices, record, shortest_path
+from .errors import BOUND_MAX_BITS, ScaleExceeded, record
+from .graph import Graph, check_vertices, shortest_path
 from .neartwin import neartwin_graph, symdiff
 
 

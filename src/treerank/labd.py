@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 from typing import Mapping, Optional
 
-from .errors import ScaleExceeded
-from .graph import Graph, field, record, within_distance
+from .errors import ScaleExceeded, field, record
+from .graph import Graph, within_distance
 from .neartwin import neartwin_graph
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 from itertools import islice
 from typing import Callable, Optional
 
-from .errors import GRAPH_MAX_PAIRS, ScaleExceeded
-from .graph import Graph, check_vertices, make_graph, record
+from .errors import GRAPH_MAX_PAIRS, ScaleExceeded, record
+from .graph import Graph, check_vertices, make_graph
 
 
 def symdiff(g: Graph, u: int, v: int) -> int:
@@ -100,7 +100,8 @@ def component_partition(g: Graph, k: int) -> PartPartition:
     vertex; this pool holds every near-twin pair with no common neighbor
     and is united first.  Every other near-twin pair has an unpooled
     vertex u whose partner misses at most k of u's neighbors, so u's
-    candidates are the neighbors of any k+1 of them.  Only unpooled u
+    candidates are the neighbors of any k+1 of them, or every vertex
+    when those rows hold n entries between them.  Only unpooled u
     are scanned, each testing its candidates above it and its pooled
     candidates below it.  A candidate pair is tested only while the
     disjoint-set forest separates it, and a union keeps u's root.  The
@@ -131,7 +132,10 @@ def component_partition(g: Graph, k: int) -> PartPartition:
         if u in pooled:
             continue
         lo, hi, ru = degs[u] - k, degs[u] + k, find(u)
-        cands = frozenset().union(*(g.adj[w] for w in islice(g.adj[u], k + 1)))
+        rows = [g.adj[w] for w in islice(g.adj[u], k + 1)]
+        # Rows holding n entries between them cover most vertices on
+        # dense inputs, where scanning every id is cheaper than the union.
+        cands = range(g.n) if sum(map(len, rows)) >= g.n else frozenset().union(*rows)
         for v in cands:
             if v > u and lo <= degs[v] <= hi:
                 rv = find(v)
@@ -142,7 +146,7 @@ def component_partition(g: Graph, k: int) -> PartPartition:
         # candidates below u joins it.  Pooled degrees are at most
         # k - low, which is below hi and may be below lo.
         rp = find(pool[0]) if pool and lo <= k - low else ru
-        if rp != ru and any(v < u and lo <= degs[v] and near(u, v) for v in cands & pooled):
+        if rp != ru and any(v < u and lo <= degs[v] and near(u, v) for v in pooled.intersection(cands)):
             parent[rp] = ru
             trees -= 1
 

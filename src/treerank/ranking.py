@@ -7,11 +7,19 @@ receives rank i. All round-i checks read the one unranked set frozen at
 the end of round i-1, so the output is independent of intra-round order.
 Vertices never separable keep rank infinity.
 
-Round 1 checks every vertex; round i+1 re-checks only the unranked
-vertices within distance r of a vertex ranked in round i.  A check's
-answer depends only on the unranked vertices inside ball_r(v), so every
-other vertex would fail again exactly as it did before (semi-naive
-evaluation of the fixed point).
+Round 1 needs no search: with every vertex unranked, the forced ring
+(below) is N(v), so v gets rank 1, with N(v) as its witness, iff
+deg(v) <= m.  A failed search read its forced ring and the last vertex
+of every path a BFS returned; round i+1 re-checks v only if round i
+ranked a vertex that one of v's failed searches read.  The unranked set
+only shrinks, and while the vertices a search read stay unranked, each
+of its BFSs finds the same first target by the same path (every vertex
+it passed was no target then and is none now) and the ring is the same,
+so the whole search replays and fails again: semi-naive evaluation of
+the fixed point, with watch lists.  The ring holds every unranked
+neighbour (a failure in round 1 read N(v)), so a new rank dirties its
+unranked neighbours, and only path ends, which lie at distance 2..r,
+are watched.  No vertex farther than r from a new rank is re-checked.
 
 The per-vertex check is a branch-and-bound search: find a shortest path
 from v to the forbidden set; if none, the deletions so far suffice; else
@@ -36,7 +44,8 @@ from __future__ import annotations
 import math
 from typing import AbstractSet, Iterable, Mapping, Optional
 
-from .graph import Graph, check_vertices, field, record, shortest_path, within_distance
+from .errors import field, record
+from .graph import Graph, check_vertices, shortest_path
 
 INF = math.inf
 
@@ -94,7 +103,7 @@ def separator_search(
         raise ValueError("separator target set must not contain the center")
     if r < 1 or m < 0:
         raise ValueError("need r >= 1 and m >= 0")
-    return _separator(g, v, fa, r, m, stats)
+    return _separator(g, v, fa, r, m, stats, [])
 
 
 def _separator(
@@ -104,12 +113,14 @@ def _separator(
     r: int,
     m: int,
     stats: Optional[SearchStats],
+    ends: list[int],
 ) -> Optional[frozenset[int]]:
     """separator_search without validation or copying.
 
     targets may contain v: v is the BFS root, so it is never reached as
     a target.  That lets every search of a ranking round share one set.
-    The search starts with the forced first ring deleted.
+    The search starts with the forced first ring deleted.  The last
+    vertex of every path a BFS returns is appended to `ends`.
     """
     deleted = set(g.adj[v] & targets)
     budget = m - len(deleted)
@@ -123,7 +134,8 @@ def _separator(
         if path is None:
             found = frozenset(deleted)
             break
-        if not _refuted(g, v, targets, r, budget - len(frames), deleted, path):
+        ends.append(path[-1])
+        if not _refuted(g, v, targets, r, budget - len(frames), deleted, path, ends):
             frames.append(path[:0:-1])
         else:  # the node fails: move on to the next untried branch
             while frames:
@@ -148,9 +160,11 @@ def _refuted(
     budget: int,
     deleted: set[int],
     path: list[int],
+    ends: list[int],
 ) -> bool:
     """Disjoint-path refusal: budget + 1 paths sharing only v, path
-    first, cannot all be cut by budget deletions."""
+    first, cannot all be cut by budget deletions.  Appends each path's
+    last vertex to `ends`."""
     if budget == 0:
         return True
     blocked = deleted.union(path[1:])
@@ -158,6 +172,7 @@ def _refuted(
         other = shortest_path(g, v, targets, r, blocked)
         if other is None:
             return False
+        ends.append(other[-1])
         blocked.update(other[1:])
     return True
 
@@ -179,22 +194,29 @@ def compute_ranking(
     ranks: list[Rank] = [INF] * g.n
     witnesses: dict[int, frozenset[int]] = {}
     unranked = set(range(g.n))
-    dirty: Iterable[int] = range(g.n)
-    round_no = 0
-    while unranked:
-        round_no += 1
-        assigned: list[tuple[int, frozenset[int]]] = []
-        for v in dirty:
-            s = _separator(g, v, unranked, r, m, stats)
-            if s is not None:
-                assigned.append((v, s))
-        if not assigned:
-            break
+    # The vertices whose failed searches returned a path ending at each
+    # vertex.
+    end_readers: dict[int, list[int]] = {}
+    assigned = [(v, row) for v, row in enumerate(g.adj) if len(row) <= m]
+    round_no = 1
+    while assigned:
+        dirty: set[int] = set()
         for v, s in assigned:
             ranks[v] = round_no
             witnesses[v] = s
             unranked.discard(v)
-        dirty = sorted(within_distance(g, [v for v, _ in assigned], r) & unranked)
+            dirty.update(g.adj[v])
+            dirty.update(end_readers.pop(v, ()))
+        round_no += 1
+        assigned = []
+        for v in sorted(dirty & unranked):
+            ends: list[int] = []
+            s = _separator(g, v, unranked, r, m, stats, ends)
+            if s is None:
+                for t in ends:
+                    end_readers.setdefault(t, []).append(v)
+            else:
+                assigned.append((v, s))
     return RankAssignment(r, m, tuple(ranks), witnesses)
 
 

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Mapping, Optional
 
-from .errors import BOUND_MAX_BITS, ScaleExceeded
+from .errors import BOUND_MAX_BITS, ScaleExceeded, record
 from .generators import tree_children, tree_order
-from .graph import Graph, check_vertices, record, shortest_path, within_distance
+from .graph import Graph, check_vertices, shortest_path, within_distance
 
 # Annotations only: `certify` without --extract never loads ranking.
 if TYPE_CHECKING:

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional
 
-from .errors import ScaleExceeded
-from .graph import Graph, check_vertices, flip_parts, record, relabel
+from .errors import ScaleExceeded, record
+from .graph import Graph, check_vertices, flip_parts, relabel
 from .neartwin import PartPartition, component_partition
 
 # Only sflip_driver verifies with labd; it imports it when called.

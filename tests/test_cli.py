@@ -647,3 +647,17 @@ def test_cli_fuzz_exits_with_a_documented_status(text, argv, input_state):
             # --quiet hides the verdict line but not the exit status.
             assert _run_cli(argv + ["--quiet"])[0] == code, argv
 
+
+def test_corpus_expect_takes_a_hex_prefix_of_eight_digits(monkeypatch, capsys):
+    import cli_corpus
+
+    total = "3fb7ed5e" + "0" * 56
+    monkeypatch.setattr(cli_corpus, "run", lambda exclude, show_cases: total)
+    assert cli_corpus.main(["--expect", "3fb7ed5e"]) == 0
+    assert cli_corpus.main(["--expect", "3FB7ED5E00"]) == 0
+    assert cli_corpus.main(["--expect", total]) == 0
+    assert cli_corpus.main(["--expect", "3fb7ed5f"]) == 1
+    for bad in ("3fb7ed5", "3fb7ed5g", "3fb7 ed5e", total + "0"):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_corpus.main(["--expect", bad])
+        assert exit_info.value.code == 2

@@ -5,14 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treerank.errors import ScaleExceeded
 from treerank.generators import gen_halfgraph, gen_random, gen_tree, subdivide, tree_order
 from treerank.graph import (
     Graph,
     ParseError,
+    _parse_canonical,
+    _parse_lines,
     flip,
     flip_parts,
     make_graph,
     parse_graph,
+    shortest_path,
     write_graph,
 )
 from treerank.halfgraph import HalfgraphWitness
@@ -113,6 +117,104 @@ class TestParse:
         assert parse_graph(text) == want
 
 
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (ParseError, ScaleExceeded) as e:
+        return type(e), str(e), getattr(e, "line_no", None)
+
+
+# Characters inserted into canonical texts: comment and whitespace
+# characters that split fields or lines for the line parser, and digits,
+# signs and tags that int() or the tag test read.
+NOISE = ["#", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\u2028", "\u3000",
+         " ", "\n", "0", "1", "9", "\u0663", "\uff17", "-", "+", "_", "e", "l", "p", "x"]
+NAMES = ["R", "F", "l", "e", "p", "7", "\u00e9"]
+
+
+def _canonical_text(rng):
+    n = rng.randint(0, 7)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+    preds = {name: [v for v in range(n) if rng.random() < 0.5]
+             for name in rng.sample(NAMES, rng.randint(0, 3))}
+    return write_graph(make_graph(n, edges, preds))
+
+
+def _mutate(rng, text):
+    kind = rng.randrange(10)
+    pos = rng.randint(0, len(text))
+    lines = text.split("\n")
+    i = rng.randrange(len(lines))
+    if kind == 8:  # one field replaced, removed or added
+        fields = lines[i].split(" ")
+        j = rng.randrange(len(fields) + 1)
+        fields[j : j + rng.randint(0, 1)] = [rng.choice(["-1", "0", "1", "2", "3", "7", "e", "l", "p", ""])]
+        lines[i] = " ".join(fields)
+        return "\n".join(lines)
+    if kind == 9:  # two lines joined by a space
+        return "\n".join(lines[:i] + [" ".join(lines[i : i + 2])] + lines[i + 2 :])
+    if kind == 0:
+        return text[:pos] + rng.choice(NOISE) + text[pos:]
+    if kind == 7:  # may turn one edge into a copy of another
+        return text[:pos] + rng.choice(NOISE) + text[pos + 1:]
+    if kind == 1:
+        return text[:pos] + text[pos + 1:]
+    if kind == 2:
+        return "\n".join(lines[: i + 1] + lines[i:])
+    if kind == 3:
+        rng.shuffle(lines)
+        return "\n".join(lines)
+    if kind == 4:
+        return text.rstrip("\n")
+    if kind == 5:
+        spaces = [i for i, c in enumerate(text) if c == " "] or [pos]
+        i = rng.choice(spaces)
+        return text[:i] + " " + text[i:]
+    return text + f"l {rng.choice(['', '#', '#x', 'a#'])} {rng.randint(0, 3)}\n"
+
+
+def test_canonical_fast_path_agrees_with_the_line_parser():
+    """Mutated canonical texts: parse_graph and the line parser return
+    equal graphs, or raise the same error with the same text and line."""
+    rng = random.Random(20261020)
+    taken = 0
+    for _ in range(6000):
+        text = _canonical_text(rng)
+        assert _parse_canonical(text) == _parse_lines(text)
+        for _ in range(rng.randint(1, 3)):
+            text = _mutate(rng, text)
+        assert _outcome(parse_graph, text) == _outcome(_parse_lines, text), repr(text)
+        taken += _parse_canonical(text) is not None
+    assert taken > 100  # the bulk reader accepted some mutated texts
+
+
+@pytest.mark.parametrize("text", [
+    "p 3 1\ne 0 1\nx\n",  # a line of one field after the edges
+    "p 3 2\ne 0 1 e 0 2\ne 1 2\n",  # two edges on one line
+    "p 3 1\ne 0 \n3\n",  # a trailing space
+    "p 3 1\ne 0 1\ne 1 2\n",  # more edge lines than the header counts
+    "p 3 2\ne 0 1\ne 0 1\n",  # a duplicate edge
+    "p 3 1\ne 1 0\n",  # larger endpoint first, which is valid
+    "p 2 1\ne 0 0\n",
+    "p 3 1\ne -1 2\n",
+    "p 3 1\ne 0 3\n",
+    "p 3 0\nl R -1\n",
+    "p 3 0\nl R 3\n",
+    "p 3 0\nl R\n",  # no members, which is valid
+    "p 3 0\nl  1\n",  # a double space: the name is 1
+    "p 3 0\nl a\rb 1\n",  # \r ends a line
+    "p 3 0\nl a\x1fb 1\n",  # \x1f splits fields but ends no line
+    "p 3 0\nl R 1 # 2\n",
+    "p 3 0\ne 0 1\n",
+    "p 3 1\nl R 1\ne 0 1\n",  # an edge after a predicate, which is valid
+    "p 2000000 0\n",
+    "p 3 1\np 3 1\ne 0 1\n",
+])
+def test_bulk_reader_refuses_texts_off_the_canonical_layout(text):
+    assert _parse_canonical(text) is None
+    assert _outcome(parse_graph, text) == _outcome(_parse_lines, text)
+
+
 class TestWrite:
     def test_single_vertex(self):
         assert write_graph(make_graph(1)) == "p 1 0\n"
@@ -124,6 +226,12 @@ class TestWrite:
     def test_roundtrip_labeled(self):
         g = make_graph(3, [(0, 1)], {"R": [2]})
         assert parse_graph(write_graph(g)) == g
+
+    @pytest.mark.parametrize("name", ["", "a b", "#x", "a\tb", "x\r"])
+    def test_predicate_name_that_cannot_round_trip_is_refused(self, name):
+        g = make_graph(2, [(0, 1)], {name: [0]})
+        with pytest.raises(ValueError, match="predicate name"):
+            write_graph(g)
 
     @settings(max_examples=60)
     @given(graphs(with_predicates=True))
@@ -291,6 +399,39 @@ class TestBallsFlipsSubgraphs:
                 dist = bfs_distances(gr, v)
                 for r in range(gr.n):
                     assert closed_ball(gr, v, r) == {u for u, d in dist.items() if d <= r}
+
+    def test_shortest_path_matches_a_plain_bfs(self):
+        # Whole layers expanded in sorted order, each vertex keeping its
+        # first discoverer; the path to the first target discovered.
+        def plain(g, v, targets, r, deleted):
+            parent, layer = {v: None}, [v]
+            for _ in range(r):
+                nxt = []
+                for u in layer:
+                    for w in sorted(g.adj[u]):
+                        if w not in parent and w not in deleted:
+                            parent[w] = u
+                            nxt.append(w)
+                            if w in targets:
+                                path = [w]
+                                while parent[path[-1]] is not None:
+                                    path.append(parent[path[-1]])
+                                return path[::-1]
+                layer = nxt
+            return None
+
+        rng = random.Random(3)
+        found = 0
+        for trial in range(600):
+            g = gen_random(rng.randrange(1, 16), rng.random() * 0.5, trial)
+            v = rng.randrange(g.n)
+            targets = {u for u in range(g.n) if rng.random() < 0.3}
+            deleted = {u for u in range(g.n) if rng.random() < 0.3}
+            r = rng.randrange(5)
+            path = shortest_path(g, v, targets, r, deleted)
+            assert path == plain(g, v, targets, r, deleted), trial
+            found += path is not None
+        assert found > 100
 
     def test_flip_triangle(self):
         g = complete_graph(3)
