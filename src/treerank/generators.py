@@ -55,24 +55,27 @@ def subdivide(g: Graph, counts: Mapping[tuple[int, int], int] | int) -> Graph:
     """Replace each edge uv by a path with counts(uv) fresh internal vertices.
 
     counts may be a single int (applied to every edge) or a mapping keyed
-    by (min(u,v), max(u,v)).  New vertices get ids n, n+1, ... assigned in
+    by (min(u,v), max(u,v)); a negative one raises ValueError, with or
+    without edges.  New vertices get ids n, n+1, ... assigned in
     sorted edge order, walking each path from the low endpoint.  Original
     ids and predicates are unchanged.
     """
     edge_list = g.edges()
     if isinstance(counts, int):
         count_of = {e: counts for e in edge_list}
+        lowest = counts
     else:
         count_of = {(min(u, v), max(u, v)): c for (u, v), c in counts.items()}
         missing = [e for e in edge_list if e not in count_of]
         if missing:
             raise ValueError(f"no subdivision count for edge {missing[0]}")
+        lowest = min((count_of[e] for e in edge_list), default=0)
+    if lowest < 0:
+        raise ValueError("subdivision counts must be nonnegative")
     edges: list[tuple[int, int]] = []
     next_id = g.n
     for u, v in edge_list:
         c = count_of[(u, v)]
-        if c < 0:
-            raise ValueError("subdivision counts must be nonnegative")
         prev = u
         for _ in range(c):
             edges.append((prev, next_id))

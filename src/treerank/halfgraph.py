@@ -3,8 +3,9 @@
 In graphs without a large semi-induced half-graph, vertices in one
 component of NT_k(G) are provably close in the near-twin metric.  The
 extraction here runs that proof forward: given a near-twin path whose
-endpoints differ too much, it produces an order-t half-graph witness.
-g_bound and h_bound are the bounds of that argument.
+endpoints differ too much, it produces the HalfgraphWitness of an
+order-t half-graph, as find_halfgraph does; the chain it builds on the
+way is checked, not returned.  g_bound and h_bound are its bounds.
 """
 
 from __future__ import annotations
@@ -110,35 +111,20 @@ def find_halfgraph(g: Graph, t: int, cap_nodes: int = 500_000) -> Optional[Halfg
         start = 0
 
 
-@record
-class HalfgraphExtraction:
-    """Successful extraction: the witness plus its audit trail.
-
-    x_chain[i] is the nested candidate set attached to w[i]; the chain
-    certifies the selection of the u side.
-    """
-
-    u: tuple[int, ...]
-    w: tuple[int, ...]
-    x_chain: tuple[frozenset[int], ...]
-
-    def witness(self) -> HalfgraphWitness:
-        return HalfgraphWitness(self.u, self.w)
-
-
 def extract_halfgraph(
     g: Graph,
     nt_path: Sequence[int],
     k: int,
     t: int,
-) -> HalfgraphExtraction:
+) -> HalfgraphWitness:
     """Run the constructive argument along a near-twin path.
 
     nt_path must be a simple path v_1..v_m of vertices of g in NT_k(g),
     and the surplus set S = N(v_m) \\ N(v_1) must have at least
     g_bound(t + 1, k, t) elements; raises ValueError when either fails.
-    Returns the w/X chain plus the selected u side; every free choice
-    takes the smallest id.
+    Builds and checks the chain of w_i and nested candidate sets X_i,
+    then picks u_i from X_i, and returns the order-t half-graph on the u
+    and w sides; every free choice takes the smallest id.
     A failure the proof rules out (consecutive path vertices differ by at
     most k, and g(t) - k >= g(t-1) + c) raises RuntimeError.
     """
@@ -171,7 +157,7 @@ def extract_halfgraph(
         if not pool:
             raise RuntimeError(f"property 3: no admissible u_{i+1} in X_{i+1}")
         us.append(min(pool))
-    return HalfgraphExtraction(tuple(us), tuple(ws), tuple(xs))
+    return HalfgraphWitness(tuple(us), tuple(ws))
 
 
 def _build_chain(
@@ -232,16 +218,16 @@ def extract_halfgraph_for_pair(
     t: int,
     u: int,
     v: int,
-) -> HalfgraphExtraction:
+) -> HalfgraphWitness:
     """Extraction driver for a same-component pair differing too much.
 
     Orients the pair so the surplus side is large enough, finds a
-    near-twin path between them, and extracts.  Raises ValueError when u
-    or v is not a vertex of g, neither one-sided difference reaches
-    g_bound(t + 1, k, t) or the pair shares no near-twin path, and
-    RuntimeError as extract_halfgraph does.  The path search raises
-    ScaleExceeded, as neartwin_graph does, when g has more than
-    GRAPH_MAX_PAIRS vertex pairs.
+    near-twin path between them, and returns extract_halfgraph's witness
+    along it.  Raises ValueError when u or v is not a vertex of g,
+    neither one-sided difference reaches g_bound(t + 1, k, t) or the
+    pair shares no near-twin path, and RuntimeError as extract_halfgraph
+    does.  The path search raises ScaleExceeded, as neartwin_graph does,
+    when g has more than GRAPH_MAX_PAIRS vertex pairs.
     """
     check_vertices(g, (u, v))
     need = g_bound(t + 1, k, t)

@@ -64,7 +64,8 @@ class ParamFunction:
 def parse_param_function(spec: str) -> ParamFunction:
     """Parse the mini-language: const:5 | linear:a,b | exp2 | tower | table:{...}.
 
-    Numbers are nonnegative integers; table values may also be null.
+    Numbers are nonnegative integers; table values may also be null, and
+    no table radius may appear twice.
     Raises ValueError naming the accepted forms on any malformed spec.
     """
     kind, _, arg = spec.partition(":")
@@ -76,11 +77,15 @@ def parse_param_function(spec: str) -> ParamFunction:
             if len(params) == (1 if kind == "const" else 2) and min(params) >= 0:
                 return ParamFunction(kind, params)
         if kind == "table":
-            raw = json.loads(arg)
-            if isinstance(raw, dict) and all(
-                v is None or (type(v) is int and v >= 0) for v in raw.values()
-            ):
-                return ParamFunction("table", (), {int(k): v for k, v in raw.items()})
+            # An object parses to its (key, value) pairs, so a radius named
+            # twice is seen rather than overwritten.
+            pairs = json.loads(arg, object_pairs_hook=tuple)
+            if isinstance(pairs, tuple):
+                table = {int(k): v for k, v in pairs}
+                if len(table) == len(pairs) and all(
+                    r >= 0 and (v is None or (type(v) is int and v >= 0)) for r, v in table.items()
+                ):
+                    return ParamFunction("table", (), table)
     except (ValueError, RecursionError):  # json.loads on deeply nested input
         pass
     shown = spec if len(spec) <= 40 else spec[:40] + "…"

@@ -78,9 +78,6 @@ class RankAssignment:
     def all_finite(self) -> bool:
         return all(x != INF for x in self.ranks)
 
-    def max_rank(self) -> Rank:
-        return max(self.ranks, default=0)
-
 
 def separator_search(
     g: Graph,

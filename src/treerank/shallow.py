@@ -263,9 +263,10 @@ def _extract(g: Graph, ra: RankAssignment, v: int, d: int, m: int, r: int) -> Tr
         first = shortest_path(g, v, targets, r, blocked)
         if first is None:
             raise RuntimeError(f"no rank-{d} target reachable from {v}")
+        # No target other than v lies nearer than first[-1].
         level = len(first) - 1
-        ring = within_distance(g, [v], level, blocked) - within_distance(g, [v], level - 1, blocked)
-        path = tuple(shortest_path(g, v, {min(ring & targets)}, level, blocked))
+        nearest = min((within_distance(g, [v], level, blocked) & targets) - {v})
+        path = tuple(shortest_path(g, v, {nearest}, level, blocked))
         paths.append(path)
         blocked.update(path[1:])
 

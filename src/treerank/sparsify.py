@@ -57,7 +57,6 @@ class SparsifiedGraph:
     graph: Graph
     apex: Mapping[int, int]  # heavy part index -> apex vertex id
     flipped_pairs: tuple[tuple[int, int], ...]
-    original_n: int
     partition: PartPartition
 
 
@@ -95,7 +94,7 @@ def build_sparsifier(g: Graph, k: int, h: int) -> SparsifiedGraph:
         "F": frozenset(apex[i] for i, j in flips if i == j),
     }
     out = Graph(len(adj), tuple(adj), {name: vs for name, vs in preds.items() if vs})
-    return SparsifiedGraph(out, apex, flips, g.n, partition)
+    return SparsifiedGraph(out, apex, flips, partition)
 
 
 class RecoverError(ValueError):
@@ -141,7 +140,7 @@ def recover_graph(g: Graph) -> tuple[Graph, dict[int, int]]:
 def recover(sg: SparsifiedGraph) -> Graph:
     """Exact inverse of build_sparsifier: recover(build_sparsifier(g)) == g."""
     out, remap = recover_graph(sg.graph)
-    if sorted(remap) != list(range(sg.original_n)):
+    if sorted(remap) != list(range(sg.graph.n - len(sg.apex))):
         raise RecoverError("marked vertices are not the appended apex block")
     return out
 
@@ -197,7 +196,6 @@ def s_flip(g: Graph, s: Iterable[int], flips: Iterable[tuple[int, int]]) -> Grap
 class SflipResult:
     s: tuple[int, ...]
     flip_spec: tuple[tuple[int, int], ...]
-    flipped_graph: Graph
     sparsified: SparsifiedGraph
 
 
@@ -238,5 +236,5 @@ def sflip_driver(
             if labd_check(sg.graph, verifier) is None:
                 if recover(sg) != flipped:
                     raise RuntimeError(f"recovery is not exact for S={subset}, flips {spec}")
-                return SflipResult(subset, spec, flipped, sg)
+                return SflipResult(subset, spec, sg)
     return None

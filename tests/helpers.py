@@ -717,7 +717,7 @@ def validate_sparsified(sg: SparsifiedGraph) -> None:
     self_flipped = frozenset(sg.apex[i] for i, j in sg.flipped_pairs if i == j)
     if f_set != self_flipped:
         raise ValueError("F marks disagree with the self-flipped parts")
-    for v in range(sg.original_n):
+    for v in range(sg.graph.n - len(sg.apex)):
         if len(g.adj[v] & r_set) > 1:
             raise ValueError(f"original vertex {v} has multiple marked neighbors")
 

@@ -45,6 +45,14 @@ def test_gen_with_subdivision_and_output_file(capsys, tmp_path):
     assert parse_graph(target.read_text()).n == 5
 
 
+@pytest.mark.parametrize("p", ["0", "1"])
+def test_gen_refuses_a_negative_subdivision_with_or_without_edges(capsys, p):
+    code = cli.main(["gen", "random", "--n", "3", "--p", p, "--subdivide", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: subdivision counts must be nonnegative\n"
+
+
 @pytest.mark.parametrize("argv, cap, code", [
     (["gen", "tree", "--depth", "7", "--branch", "10"], None, 3),
     (["gen", "tree", "--depth", "1000000000", "--branch", "2"], None, 3),

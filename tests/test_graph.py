@@ -354,6 +354,11 @@ class TestGenerators:
         out = subdivide(g, {(0, 1): 0, (1, 2): 3})
         assert out.n == 6 and out.edge_count() == 5
 
+    def test_subdivide_refuses_a_negative_count_with_or_without_edges(self):
+        for g in (make_graph(3), make_graph(3, [(0, 1)])):
+            with pytest.raises(ValueError, match="subdivision counts must be nonnegative"):
+                subdivide(g, -1)
+
     def test_halfgraph_small(self):
         assert gen_halfgraph(1).edges() == [(0, 1)]
         g2 = gen_halfgraph(2)

@@ -6,7 +6,6 @@ from treerank.errors import ScaleExceeded
 from treerank.generators import gen_halfgraph, gen_random
 from treerank.graph import make_graph
 from treerank.halfgraph import (
-    HalfgraphExtraction,
     HalfgraphWitness,
     extract_halfgraph,
     extract_halfgraph_for_pair,
@@ -180,10 +179,10 @@ class TestExtraction:
     def test_base_case_order_one(self):
         g = star(4)  # leaf-to-center near-twin path, symdiff 5
         res = extract_halfgraph(g, [1, 0], 5, 1)
-        assert isinstance(res, HalfgraphExtraction)
+        assert isinstance(res, HalfgraphWitness)
         assert res.w == (0,)  # last path vertex
         assert res.u == (1,)  # smallest member of the surplus set
-        validate_halfgraph(g, res.witness())
+        validate_halfgraph(g, res)
 
     def test_surplus_too_small(self):
         g = complete_graph(3)
@@ -208,17 +207,17 @@ class TestExtraction:
         # u-side endpoints: same NT_1 component, neighborhoods differ by 15
         assert symdiff(g, 0, 15) == 15 > h_bound(k, t)
         res = extract_halfgraph_for_pair(g, k, t, 0, 15)
-        assert isinstance(res, HalfgraphExtraction)
-        validate_halfgraph(g, res.witness())
-        assert len(res.x_chain) == t
+        assert isinstance(res, HalfgraphWitness)
+        validate_halfgraph(g, res)
+        assert len(res.u) == t
 
     def test_order_three_extraction(self):
         t, k = 3, 1
         need_order = h_bound(k, t) + 2  # surplus beyond the closeness bound
         g = gen_halfgraph(need_order)
         res = extract_halfgraph_for_pair(g, k, t, 0, need_order - 1)
-        assert isinstance(res, HalfgraphExtraction)
-        validate_halfgraph(g, res.witness())
+        assert isinstance(res, HalfgraphWitness)
+        validate_halfgraph(g, res)
 
     def test_pair_without_surplus(self):
         g = complete_graph(6)
@@ -271,8 +270,8 @@ class TestClosenessProperty:
                         for v in comp[i + 1 :]:
                             if symdiff(g, u, v) > h_bound(k, t):
                                 res = extract_halfgraph_for_pair(g, k, t, u, v)
-                                assert isinstance(res, HalfgraphExtraction)
-                                validate_halfgraph(g, res.witness())
+                                assert isinstance(res, HalfgraphWitness)
+                                validate_halfgraph(g, res)
                                 produced += 1
         assert produced > 0
 

@@ -22,6 +22,7 @@ from treerank.sparsify import (
     component_partition,
     recover,
     recover_graph,
+    s_flip,
     sflip_driver,
 )
 
@@ -36,6 +37,7 @@ from helpers import (
     nt_edges_allpairs,
     pair_density,
     path_graph,
+    permute_graph,
     recover_graph_pairwise,
     seeded_dense_graphs,
     seeded_random_graphs,
@@ -348,6 +350,15 @@ class TestRoundTrip:
         with pytest.raises(RecoverError, match="escape"):
             recover_graph(g)
 
+    def test_recover_rejects_apexes_before_the_kept_vertices(self):
+        # Reversed ids put the marked block first: recover_graph still
+        # undoes the flips, but the kept ids are not the input's 0..n-1.
+        sg = build_sparsifier(complete_bipartite(7, 7), 0, 1)
+        reverse = [sg.graph.n - 1 - v for v in range(sg.graph.n)]
+        moved = type(sg)(**{**vars(sg), "graph": permute_graph(sg.graph, reverse)})
+        with pytest.raises(RecoverError, match="marked vertices are not the appended apex block"):
+            recover(moved)
+
     def test_recover_general_graph_remaps(self):
         # marked vertex in the middle of the id range
         g = make_graph(3, [(0, 1), (1, 2)], {"R": [1]})
@@ -412,7 +423,7 @@ class TestRoundTrip:
             [e for e in tampered.edges() if e != (0, 14)],
             tampered.predicates,
         )
-        broken = type(sg)(bad, sg.apex, sg.flipped_pairs, sg.original_n, sg.partition)
+        broken = type(sg)(**{**vars(sg), "graph": bad})
         with pytest.raises(ValueError):
             validate_sparsified(broken)
 
@@ -521,7 +532,7 @@ class TestSflipDriver:
         res = sflip_driver(g, 0, 0, 1, verifier)
         assert res is not None
         assert res.s == () and res.flip_spec == ()
-        assert res.flipped_graph == g
+        assert s_flip(g, res.s, res.flip_spec) == g
         assert recover(res.sparsified) == g
 
     def test_distortion_instance(self):
@@ -538,12 +549,12 @@ class TestSflipDriver:
         # frozen first hit of the canonical enumeration order
         assert res.s == (0,)
         assert res.flip_spec == ((1, 2),)
-        assert recover(res.sparsified) == res.flipped_graph
+        assert recover(res.sparsified) == s_flip(g, res.s, res.flip_spec)
         from treerank.labd import labd_check
 
         assert labd_check(res.sparsified.graph, verifier) is None
         # the hub-isolating candidate is also a valid (later) success
-        from treerank.sparsify import s_flip, s_flip_classes
+        from treerank.sparsify import s_flip_classes
 
         classes = s_flip_classes(g, {14})
         assert classes == [(14,), tuple(range(14))]
