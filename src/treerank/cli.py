@@ -219,7 +219,7 @@ def _cmd_rank(args, g: Graph) -> tuple[str, int]:
     if args.witness:
         w = ra.witnesses
         lines += [" ".join(["w", ids[v], *map(ids.__getitem__, sorted(w[v]))]) for v in sorted(w)]
-    return "\n".join(lines) + "\n", EXIT_OK
+    return ("\n".join(lines) + "\n" if lines else ""), EXIT_OK
 
 
 def _cmd_certify(args, g: Graph) -> tuple[str, int]:

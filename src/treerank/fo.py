@@ -12,9 +12,10 @@ variable y, into closures returning the values of y that satisfy it
 its parts and subtracts its negated ones, so negation is a difference.
 `Forall(v, ...)` intersects over all vertices and `Exists(v, ...)`
 unites over v's range: for a conjunction, its first guard conjunct,
-`Pred(name, v)` or an `Edge` from v to a bound variable u, so v ranges
-over the predicate or u's neighbors; else all vertices.  Values outside
-the guard falsify the conjunction, so a guard never changes a result.
+`Pred(name, v)` or an `Edge` from v to a variable u other than y, so v
+ranges over the predicate or u's neighbors; else all vertices.  Values
+outside the guard falsify the conjunction, so a guard never changes a
+result.
 """
 
 from __future__ import annotations
@@ -110,13 +111,10 @@ def evaluate(g: Graph, f: Formula, assignment: Mapping[str, int]) -> bool:
     Raises ValueError if a free variable of f is unassigned.  Predicate
     names absent from g are treated as empty sets.
     """
-    free = free_vars(f)
-    missing = free - set(assignment)
+    missing = free_vars(f) - set(assignment)
     if missing:
         raise ValueError(f"unbound free variables: {sorted(missing)}")
-    y = min(free, default=None)  # None: f is closed, and solved for no variable
-    values = _compile(f, frozenset(assignment) - {y}, y)(g, dict(assignment))
-    return values is None or (y is not None and assignment[y] in values)
+    return _compile(f, None)(g, dict(assignment)) is None
 
 
 # A compiled formula's values of y, None standing for every vertex.  A
@@ -125,9 +123,9 @@ Values = Optional[AbstractSet[int]]
 _EMPTY: frozenset[int] = frozenset()
 
 
-def _compile(f: Formula, bound: frozenset[str], y: Optional[str]) -> Callable[[Graph, dict[str, int]], Values]:
-    """f as a closure over (g, env), where env assigns the variables in
-    bound (never y), returning the values of y that satisfy f.
+def _compile(f: Formula, y: Optional[str]) -> Callable[[Graph, dict[str, int]], Values]:
+    """f as a closure over (g, env), where env assigns every free
+    variable of f but y, returning the values of y that satisfy f.
 
     Quantifiers bind their variable in a copy of env.  A returned set
     may be one of g's rows, so no caller mutates it.
@@ -135,7 +133,7 @@ def _compile(f: Formula, bound: frozenset[str], y: Optional[str]) -> Callable[[G
     if isinstance(f, (Edge, Eq)):
         a, b, eq = f.x, f.y, isinstance(f, Eq)
         if a == b:
-            return _compile(Const(eq), bound, y)
+            return _compile(Const(eq), y)
         if y in (a, b):
             other = a if b == y else b
             return (lambda g, env: {env[other]}) if eq else (lambda g, env: g.adj[env[other]])
@@ -151,10 +149,10 @@ def _compile(f: Formula, bound: frozenset[str], y: Optional[str]) -> Callable[[G
         value = None if f.value else _EMPTY
         return lambda g, env: value
     if isinstance(f, Not):
-        inner = _compile(f.f, bound, y)
+        inner = _compile(f.f, y)
         return lambda g, env: _complement(g, inner(g, env))
     if isinstance(f, Or):
-        parts = [_compile(p, bound, y) for p in f.parts]
+        parts = [_compile(p, y) for p in f.parts]
 
         def union(g, env):
             out: AbstractSet[int] = _EMPTY
@@ -170,8 +168,8 @@ def _compile(f: Formula, bound: frozenset[str], y: Optional[str]) -> Callable[[G
     if isinstance(f, And):
         # Negated parts come last, so the complement of all vertices is
         # built only when no positive part restricts y.
-        positive = [_compile(p, bound, y) for p in f.parts if not isinstance(p, Not)]
-        negated = [_compile(p.f, bound, y) for p in f.parts if isinstance(p, Not)]
+        positive = [_compile(p, y) for p in f.parts if not isinstance(p, Not)]
+        negated = [_compile(p.f, y) for p in f.parts if isinstance(p, Not)]
 
         def intersection(g, env):
             out: Values = None
@@ -196,9 +194,9 @@ def _compile(f: Formula, bound: frozenset[str], y: Optional[str]) -> Callable[[G
         raise TypeError(f"not a formula: {f!r}")
     var = f.var
     if var == y:  # the quantifier hides y, so its body is solved for no variable
-        return _compile(f, bound, None)
-    domain, body = _guard(f, bound)
-    inner = _compile(body, bound | {var}, y)
+        return _compile(f, None)
+    domain, body = _guard(f, y)
+    inner = _compile(body, y)
     forall = isinstance(f, Forall)
 
     def quantifier(g, env):
@@ -229,7 +227,7 @@ def _complement(g: Graph, values: Values) -> Values:
     return set(range(g.n)) - values if values else None
 
 
-def _guard(f: Union[Exists, Forall], bound: frozenset[str]) -> tuple[Callable[..., Iterable[int]], Formula]:
+def _guard(f: Union[Exists, Forall], y: Optional[str]) -> tuple[Callable[..., Iterable[int]], Formula]:
     """The values f.var ranges over, and the rest of f's body: for an
     existential over a conjunction, the first guard, which then holds
     and is dropped; else all vertices and the whole body."""
@@ -243,7 +241,7 @@ def _guard(f: Union[Exists, Forall], bound: frozenset[str]) -> tuple[Callable[..
                 return (lambda g, env: g.predicates.get(name, _EMPTY)), rest
             if isinstance(p, Edge) and p.x != p.y and var in (p.x, p.y):
                 other = p.y if p.x == var else p.x
-                if other in bound:
+                if other != y:  # free in f, so env binds it
                     return (lambda g, env: g.adj[env[other]]), rest
     return (lambda g, env: range(g.n)), f.f
 
@@ -274,9 +272,9 @@ def apply_interpretation(g: Graph, interp: Interpretation) -> tuple[Graph, dict[
     Each kept u's row gets the kept v != u in psi's values of y at
     x = u, and each such v's row gets u, so both orders of psi count.
     """
-    kept = _compile(interp.delta, frozenset(), "x")(g, {})
+    kept = _compile(interp.delta, "x")(g, {})
     keep = frozenset(range(g.n)) if kept is None else kept
-    partners = _compile(interp.psi, frozenset({"x"}), "y")
+    partners = _compile(interp.psi, "y")
     rows: list[set[int]] = [set() for _ in range(g.n)]
     for u in keep:
         ys = partners(g, {"x": u})
@@ -301,12 +299,12 @@ def check_range(g: Graph, psi: Formula, b: int) -> bool:
     unbound = free_vars(psi) - {"x", "y"}
     if unbound:
         raise ValueError(f"psi may only use free variables x, y; unbound: {sorted(unbound)}")
-    partners = _compile(psi, frozenset({"x"}), "y")
+    partners = _compile(psi, "y")
     for u in range(g.n):
         ys = partners(g, {"x": u})
         if ys is None:
             ys = range(g.n)
-        if ys and not within_distance(g, [u], b).issuperset(ys):
+        if ys and not within_distance(g, u, b).issuperset(ys):
             return False
     return True
 

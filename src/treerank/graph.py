@@ -269,18 +269,13 @@ def check_vertices(g: Graph, vs: Iterable[int]) -> None:
             raise ValueError(f"vertex {v} out of range for n={g.n}")
 
 
-def within_distance(
-    g: Graph,
-    centers: list[int],
-    r: int,
-    forbidden: AbstractSet[int] = frozenset(),
-) -> set[int]:
-    """Vertices at distance <= r from some center in g minus `forbidden`.
+def within_distance(g: Graph, v: int, r: int, forbidden: AbstractSet[int] = frozenset()) -> set[int]:
+    """Vertices at distance <= r from v in g minus `forbidden`, by BFS.
 
-    One multi-source BFS.  The centers are included as given, unchecked.
+    v itself is included, unchecked.
     """
-    seen = set(centers)
-    frontier = centers
+    seen = {v}
+    frontier = [v]
     for _ in range(r):
         nxt = []
         for u in frontier:

@@ -24,6 +24,8 @@ def g_bound(c: int, k: int, t: int) -> int:
     for c >= 1 and k >= 0, pass BOUND_MAX_BITS."""
     if t < 1:
         raise ValueError("need t >= 1")
+    if c < 0 or k < 0:
+        raise ValueError("need c >= 0, k >= 0")
     bits = 0
     for s in range(2, t):
         bits += s.bit_length() - 1

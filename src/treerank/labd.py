@@ -127,7 +127,7 @@ def labd_check(
     component: list[set[int]] = [set()] * n
     for v in range(n):
         if not component[v]:
-            members = within_distance(g, [v], n)
+            members = within_distance(g, v, n)
             for u in members:
                 component[u] = members
     filled = [False] * n
@@ -137,7 +137,7 @@ def labd_check(
         if f_r is None or d_r is None:
             continue
         for v in range(n):
-            ball = component[v] if filled[v] else within_distance(g, [v], r)
+            ball = component[v] if filled[v] else within_distance(g, v, r)
             filled[v] = len(ball) == len(component[v])
             offenders = [u for u in ball if degs[u] > d_r]
             if len(offenders) > f_r:
@@ -199,4 +199,6 @@ def near_covered_check(
 def no_ladder_bound(k2: int, m2: int) -> int:
     """Half-graph order excluded by radius-2 near-coverage:
     m2*k2 + m2 + 1."""
+    if k2 < 0 or m2 < 0:
+        raise ValueError("need k2 >= 0, m2 >= 0")
     return m2 * k2 + m2 + 1

@@ -14,6 +14,7 @@ with an inflated branching target, and then prunes colliding branches.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from .errors import BOUND_MAX_BITS, ScaleExceeded, record
@@ -265,7 +266,7 @@ def _extract(g: Graph, ra: RankAssignment, v: int, d: int, m: int, r: int) -> Tr
             raise RuntimeError(f"no rank-{d} target reachable from {v}")
         # No target other than v lies nearer than first[-1].
         level = len(first) - 1
-        nearest = min((within_distance(g, [v], level, blocked) & targets) - {v})
+        nearest = min((within_distance(g, v, level, blocked) & targets) - {v})
         path = tuple(shortest_path(g, v, {nearest}, level, blocked))
         paths.append(path)
         blocked.update(path[1:])
@@ -291,19 +292,15 @@ def _temb_vertices(temb: TreeEmb) -> set[int]:
 
 
 def _prune(temb: TreeEmb, forbidden: set[int], m: int) -> TreeEmb:
-    """Keep the first m root branches free of forbidden vertices, then cut
-    every deeper node down to its first m children."""
+    """Drop the root branches that hold a forbidden vertex, then cut every
+    node down to its first m children (no branch past the m-th clean one
+    is looked at)."""
     root, kids = temb
-    clean = []
-    for path, sub in kids:
-        branch_vertices = set(path[1:]) | _temb_vertices(sub)
-        if not branch_vertices & forbidden:
-            clean.append((path, _truncate(sub, m)))
-            if len(clean) == m:
-                break
+    branches = ((path, sub) for path, sub in kids if forbidden.isdisjoint(set(path[1:]) | _temb_vertices(sub)))
+    clean = list(islice(branches, m))
     if len(clean) < m:
         raise RuntimeError(f"pruning left {len(clean)} branches, need {m}")
-    return (root, clean)
+    return _truncate((root, clean), m)
 
 
 def _truncate(temb: TreeEmb, m: int) -> TreeEmb:

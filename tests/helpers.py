@@ -239,7 +239,7 @@ def closed_ball(g: Graph, v: int, r: int, forbidden: frozenset[int] = frozenset(
         raise ValueError("radius must be nonnegative")
     if v in forbidden:
         raise ValueError("ball center is deleted")
-    return frozenset(within_distance(g, [v], r, forbidden))
+    return frozenset(within_distance(g, v, r, forbidden))
 
 
 def induced(g: Graph, x: Iterable[int]) -> tuple[Graph, dict[int, int]]:
@@ -521,7 +521,7 @@ def separator_search_bruteforce(
     for size in range(m + 1):
         for combo in combinations(others, size):
             s = frozenset(combo)
-            if not (within_distance(g, [v], r, s) & fa):
+            if not (within_distance(g, v, r, s) & fa):
                 return s
     return None
 
@@ -818,7 +818,7 @@ def check_range_pairwise(g: Graph, psi: fo.Formula, b: int) -> bool:
         raise ValueError("range bound must be nonnegative")
     holds = _either_order(g, psi)
     for u in range(g.n):
-        near = within_distance(g, [u], b)
+        near = within_distance(g, u, b)
         for v in range(u + 1, g.n):
             if v not in near and holds(u, v):
                 return False

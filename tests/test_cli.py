@@ -148,6 +148,14 @@ def test_rank_witness_lines(capsys, tmp_path):
     assert any(line.startswith("w ") for line in out.splitlines())
 
 
+@pytest.mark.parametrize("witness", [[], ["--witness"]])
+def test_rank_of_the_empty_graph_prints_nothing(capsys, tmp_path, witness):
+    src = tmp_path / "e.graph"
+    src.write_text("p 0 0\n")
+    code, out = run(capsys, "--input", str(src), "rank", "--r", "1", "--m", "1", *witness)
+    assert code == 0 and out == ""
+
+
 def test_certify_found_and_absent(capsys, tmp_path):
     src = tmp_path / "t.graph"
     src.write_text(write_graph(gen_tree(2, 3)))
@@ -279,6 +287,22 @@ def test_bounds_rejects_a_wrong_value_count(capsys, flag, value, form):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: {flag} expects {form}\n"
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--g", "0,-5,3", "need c >= 0, k >= 0"),
+    ("--g", "-1,2,3", "need c >= 0, k >= 0"),
+    ("--g", "-1,-1,0", "need t >= 1"),
+    ("--h", "-1,3", "need c >= 0, k >= 0"),
+    ("--h", "-1,0", "need t >= 1"),
+    ("--no-ladder", "-1,-1", "need k2 >= 0, m2 >= 0"),
+    ("--no-ladder", "2,-1", "need k2 >= 0, m2 >= 0"),
+])
+def test_bounds_rejects_negative_parameters(capsys, flag, value, message):
+    code = cli.main(["bounds", f"{flag}={value}"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_every_subcommand_has_a_handler():

@@ -184,6 +184,21 @@ def test_guard_cases():
     assert not fo.evaluate(g, rebind, {"x": 3})
 
 
+def test_an_edge_to_the_solved_variable_is_no_guard():
+    # The compiled environment binds every free variable but the solved
+    # one, so z ranges over the row of the first Edge partner that is
+    # not the solved variable, or over every vertex when there is none.
+    g = gen_random(8, 0.4, 77)
+    two_step = fo.Exists("z", fo.conj(fo.Edge("x", "z"), fo.Edge("z", "y")))
+    domain, rest = fo._guard(two_step, "y")
+    assert domain(g, {"x": 3}) is g.adj[3] and rest == fo.conj(fo.Edge("z", "y"))
+    domain, rest = fo._guard(two_step, "x")
+    assert domain(g, {"y": 5}) is g.adj[5] and rest == fo.conj(fo.Edge("x", "z"))
+    both_solved = fo.Exists("z", fo.conj(fo.Edge("x", "z"), fo.Edge("z", "x")))
+    domain, rest = fo._guard(both_solved, "x")
+    assert list(domain(g, {})) == list(range(g.n)) and rest == both_solved.f
+
+
 def test_set_at_a_time_matches_the_pair_scan():
     # Random psi(x, y) and delta(x) with guarded and unguarded
     # quantifiers over x, y and fresh variables, against the pair scan

@@ -237,6 +237,11 @@ class TestDerivedBounds:
         assert no_ladder_bound(0, 0) == 1
         assert no_ladder_bound(1, 1) == 3
 
+    @pytest.mark.parametrize("k2,m2", [(-1, 0), (0, -1), (-1, -1)])
+    def test_no_ladder_refuses_negative_parameters(self, k2, m2):
+        with pytest.raises(ValueError, match="need k2 >= 0, m2 >= 0"):
+            no_ladder_bound(k2, m2)
+
     def test_local_coverage_excludes_half_graphs(self):
         # Any graph accepted at radius 2 with (k, m) has no semi-induced
         # half-graph of the derived order.

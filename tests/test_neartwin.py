@@ -130,6 +130,17 @@ class TestBounds:
         assert h_bound(5, 1) == 4
         assert h_bound(0, 2) == 12
 
+    @pytest.mark.parametrize("c,k,t", [(-1, 2, 3), (3, -1, 3), (-1, -1, 1)])
+    def test_g_bound_refuses_negative_c_or_k(self, c, k, t):
+        with pytest.raises(ValueError, match="need c >= 0, k >= 0"):
+            g_bound(c, k, t)
+        with pytest.raises(ValueError, match="need t >= 1"):
+            g_bound(c, k, 0)
+
+    def test_h_bound_refuses_a_negative_k(self):
+        with pytest.raises(ValueError, match="need c >= 0, k >= 0"):
+            h_bound(-1, 3)
+
 
 class TestFindHalfgraph:
     def test_generated_halfgraph_found(self):

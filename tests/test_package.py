@@ -82,11 +82,14 @@ def test_all_lists_the_eager_exports():
     assert sorted(treerank.__all__) == NAMES
 
 
-# Public names no library module uses, each kept for the reason given.
+# Public functions and classes no library module uses, each kept for the
+# reason given.
 UNREACHED = {
     "apply_interpretation": "computes I(H); the benchmark's interpret child and criterion 9 call it",
     "check_range": "the range-3 check of recovery_interpretation's edge formula",
     "evaluate": "truth of one formula under an assignment, the FO layer's entry point",
+    "extract_halfgraph_for_pair": "the near-twin closeness step for one vertex pair: a pair "
+                                  "too far apart yields a half-graph witness",
     "flip": "the paper's two-set flip, checked in its arguments; tests build inputs with it",
     "neartwin_view": "perfbench/spans.py rebinds it in traced runs",
     "rank_order": "the vertex order a finite ranking defines",
@@ -112,14 +115,18 @@ def _used_names(node: ast.AST):
 
 
 def test_every_public_name_is_used_by_the_library_or_listed():
-    # A use inside a name's own definition (recursion) does not count,
-    # and neither does the export table in __init__.
-    used = set()
+    # Every top-level function and class without a leading underscore,
+    # exported or not.  A use inside a name's own definition (recursion)
+    # does not count, and neither does the export table in __init__.
+    defined, used = set(), set()
     for path in (SRC / "treerank").glob("*.py"):
         if path.stem != "__init__":
             for top in ast.parse(path.read_text()).body:
+                if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
+                    defined.add(top.name)
                 used.update(x for x in _used_names(top) if x != getattr(top, "name", None))
-    assert sorted(set(NAMES) - used) == sorted(UNREACHED)
+    assert set(NAMES) <= defined
+    assert sorted(defined - used) == sorted(UNREACHED)
 
 
 # Class members no library code reads, each kept for the reason given.
@@ -268,7 +275,7 @@ _SPEC = ClassSpec(ParamFunction("const", (0,)), ParamFunction("const", (2,)))
 
 def _check_offenders(g, cert):
     r, v, offenders = cert
-    ball = within_distance(g, [v], r)
+    ball = within_distance(g, v, r)
     assert offenders and offenders == tuple(sorted(u for u in ball if g.degree(u) > 2))
 
 
@@ -279,7 +286,7 @@ def _check_non_twins(g, cert):
 
 def _check_separator(g, cert):
     assert len(cert) <= 1 and 0 not in cert
-    assert within_distance(g, [0], 2, cert).isdisjoint({1, 2})
+    assert within_distance(g, 0, 2, cert).isdisjoint({1, 2})
 
 
 def _check_sflip(g, res):
