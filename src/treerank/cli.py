@@ -3,9 +3,9 @@
 Every subcommand is a thin adapter over one library operation; verdicts
 are reflected in the exit status and certificates are printed in a
 machine-readable line format.  A command takes the parsed arguments and
-the input graph (None for `gen`, `bounds` and `corpus`, which read
-none) and returns (text, exit status); `main` alone reads the input
-and writes the text, and None text writes nothing.
+the input graph (None for `gen` and `bounds`, which read none) and
+returns (text, exit status); `main` alone reads the input and writes
+the text, and None text writes nothing.
 
 Exit statuses: 0 success / true verdict, 1 false verdict (certificate
 emitted), 2 usage or input error, 3 scale-cap abort.
@@ -120,14 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--f", required=True, help="verifier parameter function spec")
     p.add_argument("--d", required=True, help="verifier parameter function spec")
-
-    p = add("corpus", _cmd_corpus, reads_graph=False, help="write a deterministic graph corpus")
-    p.add_argument("--family", required=True,
-                   choices=["trees", "random", "halfgraph", "mixed"])
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--count", type=int, default=20)
-    p.add_argument("--max-n", type=int, default=16)
-    p.add_argument("--max-t", type=int, default=6)
     return top
 
 
@@ -167,11 +159,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
 
-def _check_order(n: int, cap: int, pairs: int = 0, op: str = "gen") -> None:
+def _check_order(n: int, cap: int, pairs: int = 0) -> None:
     if n > cap:
-        raise ScaleExceeded(op, f"output would have more than {cap} vertices")
+        raise ScaleExceeded("gen", f"output would have more than {cap} vertices")
     if pairs > GRAPH_MAX_PAIRS:
-        raise ScaleExceeded(op, f"{pairs} vertex pairs to build or scan, over {GRAPH_MAX_PAIRS}")
+        raise ScaleExceeded("gen", f"{pairs} vertex pairs to build or scan, over {GRAPH_MAX_PAIRS}")
 
 
 def _cmd_gen(args, _: None) -> tuple[str, int]:
@@ -381,68 +373,10 @@ def _cmd_sflip(args, g: Graph) -> tuple[str, int]:
     )
     if res is None:
         return "absent\n", EXIT_FALSE
-    lines = ["S " + " ".join(map(str, res.s))]
+    lines = [" ".join(["S", *map(str, res.s)])]
     lines.extend(f"flip {i} {j}" for i, j in res.flip_spec)
     lines.append(write_graph(res.sparsified.graph).rstrip("\n"))
     return "\n".join(lines) + "\n", EXIT_OK
-
-
-def _cmd_corpus(args, _: None) -> tuple[None, int]:
-    import json
-    import math
-
-    from .generators import gen_halfgraph, gen_random, gen_tree, subdivide
-
-    period = max(1, args.max_n - 1)
-
-    def order(i: int) -> int:
-        return 2 + (args.seed + i) % period
-
-    # Before anything is written, the half-graph edges and random-graph
-    # pairs of the whole corpus together pass gen's pair cap, which keeps
-    # each graph under its vertex cap too; the trees are fixed and small.
-    # The orders cycle through 2..period+1, whose pairs sum to
-    # comb(period + 2, 3), and the sum of a partial cycle stops at the cap.
-    fam = args.family
-    t = max(args.max_t, 0) if fam in ("halfgraph", "mixed") else 0
-    count = max(args.count, 0) if fam in ("random", "mixed") else 0
-    pairs = t * (t + 1) * (t + 2) // 6 + count // period * math.comb(period + 2, 3)
-    for i in range(count % period):
-        if pairs > GRAPH_MAX_PAIRS:
-            break
-        pairs += order(i) * (order(i) - 1) // 2
-    _check_order(2 * t, GRAPH_MAX_VERTICES, pairs, "corpus")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
-
-    def add(name: str, g: Graph, **params) -> None:
-        fname = f"{name}.graph"
-        (out_dir / fname).write_text(write_graph(g))
-        entries.append({"file": fname, **params})
-
-    if fam in ("trees", "mixed"):
-        for d in range(1, 4):
-            for m in range(1, 4):
-                for r in range(0, 3):
-                    g = subdivide(gen_tree(d, m), r)
-                    add(f"tree-d{d}-m{m}-s{r}", g, family="tree", d=d, m=m, subdiv=r)
-    if fam in ("halfgraph", "mixed"):
-        for t in range(1, args.max_t + 1):
-            add(f"halfgraph-t{t}", gen_halfgraph(t), family="halfgraph", t=t)
-    if fam in ("random", "mixed"):
-        for i in range(args.count):
-            n = order(i)
-            p = 0.1 + 0.8 * ((i * 37 % 100) / 100.0)
-            g = gen_random(n, p, args.seed + i)
-            add(f"random-{i:03d}", g, family="random", n=n, p=round(p, 3),
-                seed=args.seed + i)
-    manifest = {"family": fam, "seed": args.seed, "count": len(entries),
-                "entries": entries}
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    if not args.quiet:
-        print(f"wrote {len(entries)} graphs to {out_dir}")
-    return None, EXIT_OK
 
 
 def entry() -> None:

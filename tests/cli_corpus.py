@@ -82,7 +82,7 @@ BAD = ["malformed", "badheader", "missing"]
 
 def cases(texts: dict[str, str]) -> list[tuple[str, list[str]]]:
     """(name, argv after `--input FILE`) pairs named kind/graph/label;
-    `gen`, `bounds` and `corpus` cases take no input and start with `-`."""
+    `gen` and `bounds` cases take no input and start with `-`."""
     out: list[tuple[str, list[str]]] = []
     sizes = {name: int(text.split()[1]) for name, text in texts.items() if text.startswith("p ")}
 
@@ -186,9 +186,6 @@ def cases(texts: dict[str, str]) -> list[tuple[str, list[str]]]:
     for seed in (0, 1, 7):
         add(f"gen/random/{seed}", "-", "--seed", str(seed), "gen", "random", "--n", "12", "--p", "0.3")
     add("gen/random/badp", "-", "gen", "random", "--n", "5", "--p", "1.5")
-    for fam in ("trees", "random", "halfgraph", "mixed"):
-        add(f"corpus/{fam}", "-", "--seed", "3", "corpus", "--family", fam, "--out", "{out}/c",
-            "--count", "5", "--max-n", "9", "--max-t", "3")
     add("usage/none", "-")
     add("usage/unknown", "-", "frobnicate")
     add("usage/rank-missing-m", "-", "rank", "--r", "1")

@@ -294,6 +294,16 @@ def test_check_range_non_edge_fails_on_path():
     assert not fo.check_range(g, psi, 1)
 
 
+def test_check_range_returns_the_bools_true_and_false():
+    # perfbench/child.py prints check_range's result and perfbench/checks.py
+    # accepts only the text "True", so the verdict stays a bool: not a
+    # certificate, and not None for a pass.
+    h = build_sparsifier(complete_bipartite(7, 7), 1, 1).graph
+    assert fo.check_range(h, fo.recovery_interpretation().psi, 3) is True
+    psi = fo.conj(fo.Not(fo.Edge("x", "y")), fo.Not(fo.Eq("x", "y")))
+    assert fo.check_range(path_graph(4), psi, 1) is False
+
+
 def test_check_range_rejects_free_variables_beyond_x_y():
     # Raised before any pair is tested, so graphs without pairs too.
     for g in (gen_random(6, 0.3, 1), make_graph(1)):
