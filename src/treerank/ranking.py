@@ -10,11 +10,11 @@ Vertices never separable keep rank infinity.
 Round 1 needs no search: with every vertex unranked, the forced ring
 (below) is N(v), so v gets rank 1, with N(v) as its witness, iff
 deg(v) <= m.  A failed search read its forced ring and the last vertex
-of every path a BFS returned; round i+1 re-checks v only if round i
-ranked a vertex that one of v's failed searches read.  The unranked set
-only shrinks, and while the vertices a search read stay unranked, each
-of its BFSs finds the same first target by the same path (every vertex
-it passed was no target then and is none now) and the ring is the same,
+of every path it found; round i+1 re-checks v only if round i ranked a
+vertex that one of v's failed searches read.  The unranked set only
+shrinks, and while the vertices a search read stay unranked, each of
+its path searches finds the same path (every vertex a BFS passed was no
+target then and is none now) and the ring is the same,
 so the whole search replays and fails again: semi-naive evaluation of
 the fixed point, with watch lists.  The ring holds every unranked
 neighbour (a failure in round 1 read N(v)), so a new rank dirties its
@@ -33,10 +33,14 @@ solution in branch order, the witness, is the one the plain search finds:
   The search starts with them deleted, or fails at once if there are
   more than m.  Deleting vertices never brings a new one to distance 1,
   so this applies only at the root.
-- Disjoint-path refusal: at a node with budget b, up to b more shortest
-  paths are grown with the earlier paths' vertices blocked.  If b+1
-  paths share no vertex besides v, any b deletions miss one of them, and
-  the node fails without branching.
+- Disjoint-path refusal: a node with budget b asks for b+1 short paths
+  that share only v, each the shortest path with the earlier ones'
+  vertices blocked.  If it gets b+1, any b deletions miss one of them,
+  and the node fails without branching; else it branches on the first.
+  At r = 2 every path is v-u-w (the ring is deleted), and one pass over
+  v's sorted row finds them: each u not deleted takes the first free
+  target in its sorted row.  A row before the last path's u had none,
+  and blocking more vertices gives it none, so BFS i+1 resumes there.
 """
 
 from __future__ import annotations
@@ -114,10 +118,10 @@ def _separator(
 ) -> Optional[frozenset[int]]:
     """separator_search without validation or copying.
 
-    targets may contain v: v is the BFS root, so it is never reached as
-    a target.  That lets every search of a ranking round share one set.
-    The search starts with the forced first ring deleted.  The last
-    vertex of every path a BFS returns is appended to `ends`.
+    targets may contain v: v is the root of every path, so it is never
+    reached as a target.  That lets every search of a ranking round
+    share one set.  The search starts with the forced first ring
+    deleted.  The last vertex of every path found is appended to `ends`.
     """
     deleted = set(g.adj[v] & targets)
     budget = m - len(deleted)
@@ -127,13 +131,15 @@ def _separator(
     nodes = 1  # the root; a ring of more than m refuses it at once
     found = None
     while budget >= 0:
-        path = shortest_path(g, v, targets, r, deleted)
-        if path is None:
+        b = budget - len(frames)
+        paths = _paths(g, v, targets, r, deleted, b + 1)
+        for p in paths:
+            ends.append(p[-1])
+        if not paths:
             found = frozenset(deleted)
             break
-        ends.append(path[-1])
-        if not _refuted(g, v, targets, r, budget - len(frames), deleted, path, ends):
-            frames.append(path[:0:-1])
+        if len(paths) <= b:
+            frames.append(paths[0][:0:-1])
         else:  # the node fails: move on to the next untried branch
             while frames:
                 deleted.remove(frames[-1].pop())
@@ -149,29 +155,39 @@ def _separator(
     return found
 
 
-def _refuted(
+def _paths(
     g: Graph,
     v: int,
     targets: AbstractSet[int],
     r: int,
-    budget: int,
     deleted: set[int],
-    path: list[int],
-    ends: list[int],
-) -> bool:
-    """Disjoint-path refusal: budget + 1 paths sharing only v, path
-    first, cannot all be cut by budget deletions.  Appends each path's
-    last vertex to `ends`."""
-    if budget == 0:
-        return True
-    blocked = deleted.union(path[1:])
-    for _ in range(budget):
-        other = shortest_path(g, v, targets, r, blocked)
-        if other is None:
-            return False
-        ends.append(other[-1])
-        blocked.update(other[1:])
-    return True
+    want: int,
+) -> list[list[int]]:
+    """The first `want` disjoint-path refusal paths (module docstring),
+    avoiding `deleted`, which holds the forced ring."""
+    paths: list[list[int]] = []
+    if r != 2:
+        blocked = deleted
+        while len(paths) < want:
+            path = shortest_path(g, v, targets, r, blocked)
+            if path is None:
+                break
+            paths.append(path)
+            blocked = blocked.union(path[1:])
+        return paths
+    rows = g._sorted_rows
+    used = {v}
+    for u in rows[v] or g.sorted_neighbors(v):
+        if u in deleted:
+            continue
+        for w in rows[u] or g.sorted_neighbors(u):
+            if w in targets and w not in deleted and w not in used:
+                paths.append([v, u, w])
+                if len(paths) == want:
+                    return paths
+                used.add(w)
+                break
+    return paths
 
 
 def compute_ranking(

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from typing import Iterable, Optional, Sequence
+from typing import AbstractSet, Iterable, Optional, Sequence
 
 from treerank.errors import ScaleExceeded
 from treerank.generators import gen_halfgraph, gen_random
@@ -463,6 +463,47 @@ def _sep_search_unpruned(
             return res
         deleted.remove(u)
     return None
+
+
+def separator_search_bfs(
+    g: Graph, v: int, targets: AbstractSet[int], r: int, m: int
+) -> tuple[Optional[frozenset[int]], int, list[int]]:
+    """The pruned separator search with one shortest_path BFS per path:
+    each node's first path, then up to b more with the earlier paths'
+    vertices blocked, b being the node's budget left.  Returns the
+    result, the number of search nodes and the last vertex of every path
+    found, in order; like ranking._separator, targets may hold v."""
+    deleted = set(g.adj[v] & targets)
+    budget = m - len(deleted)
+    frames: list[list[int]] = []
+    nodes, ends = 1, []
+    while budget >= 0:
+        path = shortest_path(g, v, targets, r, deleted)
+        if path is None:
+            return frozenset(deleted), nodes, ends
+        ends.append(path[-1])
+        refused = True  # b + 1 paths sharing only v: no b deletions cut them all
+        blocked = deleted.union(path[1:])
+        for _ in range(budget - len(frames)):
+            other = shortest_path(g, v, targets, r, blocked)
+            if other is None:
+                refused = False
+                break
+            ends.append(other[-1])
+            blocked.update(other[1:])
+        if not refused:
+            frames.append(path[:0:-1])
+        else:
+            while frames:
+                deleted.remove(frames[-1].pop())
+                if frames[-1]:
+                    break
+                frames.pop()
+            else:
+                break
+        deleted.add(frames[-1][-1])
+        nodes += 1
+    return None, nodes, ends
 
 
 def ranking_full_rescan(g: Graph, r: int, m: int) -> RankAssignment:

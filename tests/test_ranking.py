@@ -6,6 +6,7 @@ import pytest
 
 from treerank.errors import ScaleExceeded
 from treerank.generators import gen_random, gen_tree
+from treerank import ranking
 from treerank.graph import make_graph
 from treerank.ranking import (
     INF,
@@ -27,6 +28,7 @@ from helpers import (
     scol_bruteforce,
     scol_by_permutations,
     seeded_random_graphs,
+    separator_search_bfs,
     separator_search_bruteforce,
     sparse_graph,
     star,
@@ -223,6 +225,43 @@ class TestSearchPruning:
         assert separator_search(g, 0, range(5, 9), 2, 3, stats) is None
         assert stats.nodes == 1
         assert separator_search(g, 0, range(5, 9), 2, 4) == frozenset(range(1, 5))
+
+    def test_r2_sweep_finds_the_paths_of_one_bfs_per_path(self, monkeypatch):
+        # At r = 2 one pass over the centre's row replaces a BFS per path:
+        # same result, node count and path ends, and so the same rankings.
+        def bfs_search(g, v, targets, r, m, stats, ends):
+            found, nodes, bfs_ends = separator_search_bfs(g, v, targets, r, m)
+            ends.extend(bfs_ends)
+            if stats is not None:
+                stats.record(nodes)
+            return found
+
+        rng = random.Random(32)
+        branched = refused = 0
+        for i in range(5000):
+            n = rng.randint(1, 30)
+            g = gen_random(n, rng.uniform(0.05, 0.35), 32000 + i)
+            v, q, m = rng.randrange(n), rng.random(), i % 6
+            targets = {u for u in range(n) if u != v and rng.random() < q}
+            if i % 2:
+                targets.add(v)
+            stats, ends = SearchStats(), []
+            found = ranking._separator(g, v, targets, 2, m, stats, ends)
+            expected = separator_search_bfs(g, v, targets, 2, m)
+            assert (found, stats.nodes, ends) == expected
+            branched += stats.nodes > 1
+            refused += len(ends) > stats.nodes
+            if i % 10 == 0:
+                stats = SearchStats()
+                ra = compute_ranking(g, 2, m, stats)
+                with monkeypatch.context() as patch:
+                    patch.setattr(ranking, "_separator", bfs_search)
+                    bfs_stats = SearchStats()
+                    ref = compute_ranking(g, 2, m, bfs_stats)
+                assert ra.ranks == ref.ranks
+                assert list(ra.witnesses.items()) == list(ref.witnesses.items())
+                assert stats == bfs_stats
+        assert branched > 500 and refused > 200
 
     def test_noisy_cluster_matches_unpruned_oracle(self):
         h = noisy_clusters(900, 30, 1)
